@@ -82,20 +82,26 @@ def _eval_fraction(a: Coeffs, x: Fraction) -> Fraction:
     return acc
 
 
-def _sign_at(a: Coeffs, x: Fraction) -> int:
-    """Sign of a(x) for rational x = p/q, via the integer q^deg * a(p/q)."""
-    if not a:
-        return 0
-    p, q = x.numerator, x.denominator
+def _over_common_denominator(xs) -> tuple[list[int], int]:
+    """Integer numerators of the rationals xs over their least common denominator."""
+    den = 1
+    for x in xs:
+        den = den * x.denominator // int_gcd(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _sign_hom(a: Coeffs, p: int, q: int) -> int:
+    """Sign of sum a_i p^i q^(n-i), which is the sign of a(p/q) for q > 0."""
     acc = 0
     qpow = 1
-    ppow = [1] * len(a)
-    for i in range(1, len(a)):
-        ppow[i] = ppow[i - 1] * p
-    for i in range(len(a) - 1, -1, -1):
-        acc += a[i] * ppow[i] * qpow
+    for c in reversed(a):
+        acc = acc * p + c * qpow
         qpow *= q
     return (acc > 0) - (acc < 0)
+
+
+def _sign_at(a: Coeffs, x: Fraction) -> int:
+    return _sign_hom(a, x.numerator, x.denominator)
 
 
 def _rem_sign_preserving(f: Coeffs, g: Coeffs) -> Coeffs:
@@ -179,11 +185,7 @@ def _exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
             for j, bc in enumerate(b):
                 rem[i + j] -= coef * bc
     assert all(r == 0 for r in rem), "division was not exact"
-    den = 1
-    for c in out:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in out]
-    return _primitive(_strip(ints))
+    return _primitive(_strip(_over_common_denominator(out)[0]))
 
 
 # --- public polynomial wrapper ----------------------------------------------
@@ -329,23 +331,31 @@ class AlgebraicNumber:
         if self.exact is not None:
             return (self.exact, self.exact)
         tol = Fraction(tol)
-        lo, hi = self.interval
+        # Bisect integer numerators L, H over the shared denominator den;
+        # halving doubles den, so the midpoints are the same rationals.
+        (L, H), den = _over_common_denominator(self.interval)
+        start = den
         sf = self._sf
-        s_lo = _sign_at(sf, lo)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            s_mid = _sign_at(sf, mid)
+        s_lo = None
+        while (H - L) * tol.denominator > tol.numerator * den:
+            if s_lo is None:
+                s_lo = _sign_hom(sf, L, den)
+            mid, den = L + H, 2 * den
+            L, H = 2 * L, 2 * H
+            s_mid = _sign_hom(sf, mid, den)
             if s_mid == 0:
                 # the root is exactly the rational midpoint
+                mid = Fraction(mid, den)
                 self.exact = mid
                 self.interval = (mid, mid)
                 return (mid, mid)
             if s_mid == s_lo:
-                lo = mid
+                L = mid
             else:
-                hi = mid
-        self.interval = (lo, hi)
-        return (lo, hi)
+                H = mid
+        if den != start:
+            self.interval = (Fraction(L, den), Fraction(H, den))
+        return self.interval
 
     def floor(self) -> int:
         """Exact floor; terminates because irrational roots never sit on an
@@ -579,10 +589,7 @@ def shift_root(num: AlgebraicNumber, c) -> AlgebraicNumber:
     for j, pj in enumerate(p):
         for k in range(j + 1):
             shifted[k] += pj * comb(j, k) * (-c) ** (j - k)
-    den = 1
-    for x in shifted:
-        den = den * x.denominator // int_gcd(den, x.denominator)
-    ints = _strip([int(x * den) for x in shifted])
+    ints = _strip(_over_common_denominator(shifted)[0])
     return AlgebraicNumber(IntPolynomial(ints).sign_normalized(), (lo + c, hi + c))
 
 

@@ -32,6 +32,7 @@ from .dynamics import (
     shift_membership,
 )
 from .errors import (
+    InvariantError,
     NegBetaError,
     PatternUndefinedError,
     ResourceLimitError,
@@ -217,7 +218,7 @@ def _b1_exponent(a: EventuallyPeriodicWord) -> int:
     while True:
         fp = words.phi_power(k)
         if len(fp) > 4 * a.period_length + 64:
-            raise AssertionError(f"threshold word {a} at base 1 matches no substitution power")
+            raise InvariantError(f"threshold word {a} at base 1 matches no substitution power")
         if not a.pre and periodization(fp) == a:
             return k
         k += 1
@@ -804,7 +805,6 @@ def sandwich_check(pi, margin=Fraction(1, 20),
     except SearchInconclusiveError:
         pass
     below = None
-    lo_val = (b.exact if b.is_rational() else None)
     if b.is_rational():
         beta_below = BetaValue.from_rational(b.exact - margin) if b.exact - margin > 1 else None
     else:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import analysis, dynamics, inverse
 from .algebraic import AlgebraicNumber, IntPolynomial, isolate_real_roots, root_upper_bound
 from .dynamics import BetaValue, PrecisionConfig
-from .errors import NegBetaError
+from .errors import MalformedBaseError, NegBetaError
 from .permutations import parse_permutation
 from .words import format_word, parse_word
 
@@ -32,22 +32,21 @@ def parse_beta(text: str, precision: PrecisionConfig) -> BetaValue:
     picking the k-th real root above 1 in increasing order (coefficients in
     ascending degree)."""
     text = text.strip()
-    if text.startswith("poly:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise NegBetaError(f"bad base syntax {text!r}; want poly:coeffs:k")
-        coeffs = tuple(int(t) for t in parts[1].split(","))
-        k = int(parts[2])
-        poly = IntPolynomial(coeffs)
-        roots = isolate_real_roots(poly, Fraction(1), root_upper_bound(poly))
-        if not 1 <= k <= len(roots):
-            raise NegBetaError(
-                f"polynomial has {len(roots)} real roots above 1; index {k} out of range")
-        return BetaValue.from_algebraic(roots[k - 1])
-    if "/" in text:
-        num, den = text.split("/")
-        return BetaValue.from_rational(Fraction(int(num), int(den)))
-    return BetaValue.from_rational(Fraction(int(text)))
+    try:
+        if not text.startswith("poly:"):
+            return BetaValue.from_rational(Fraction(*(int(t) for t in text.split("/", 1))))
+        _, coeffs, k = text.split(":")
+        poly, k = IntPolynomial(tuple(int(t) for t in coeffs.split(","))), int(k)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedBaseError(
+            f"bad base syntax {text!r}; want an integer, p/q or poly:coeffs:k") from None
+    if poly.is_zero():
+        raise MalformedBaseError("the zero polynomial has no roots")
+    roots = isolate_real_roots(poly, Fraction(1), root_upper_bound(poly))
+    if not 1 <= k <= len(roots):
+        raise NegBetaError(
+            f"polynomial has {len(roots)} real roots above 1; index {k} out of range")
+    return BetaValue.from_algebraic(roots[k - 1])
 
 
 @dataclass

@@ -14,11 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from . import words
 from .algebraic import (
     AlgebraicNumber,
+    _over_common_denominator,
     _poly_gcd,
     _sign_at,
     _strip,
@@ -177,10 +177,11 @@ class _AlgebraicArith:
     def is_zero(self, x) -> bool:
         if not x:
             return True
-        den = 1
-        for c in x:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = _strip([int(c * den) for c in x])
+        # An enclosure of the value that excludes 0 proves x nonzero.
+        lo, hi = self.enclosure(x, Fraction(1, 2**64))
+        if lo > 0 or hi < 0:
+            return False
+        ints = _strip(_over_common_denominator(x)[0])
         if not ints:
             return True
         g = _poly_gcd(self.sf, ints)
@@ -191,17 +192,21 @@ class _AlgebraicArith:
 
     def enclosure(self, x, tol: Fraction) -> tuple[Fraction, Fraction]:
         lo, hi = self.num.refine(tol)
-        acc_lo = acc_hi = Fraction(0)
-        plo, phi = Fraction(1), Fraction(1)
-        for c in x:
-            a, b = c * plo, c * phi
+        # Termwise min/max of c_i lo^i, c_i hi^i as integers over the common
+        # denominator cden * q^m of x = (sum n_i beta^i) / cden, lo = L/q, hi = H/q.
+        nums, cden = _over_common_denominator(x)
+        (L, H), q = _over_common_denominator((lo, hi))
+        acc_lo = acc_hi = 0
+        plo = phi = 1
+        for n in nums:
+            a, b = n * plo, n * phi
             if a > b:
                 a, b = b, a
-            acc_lo += a
-            acc_hi += b
-            plo *= lo
-            phi *= hi
-        return acc_lo, acc_hi
+            acc_lo, acc_hi = acc_lo * q + a, acc_hi * q + b
+            plo *= L
+            phi *= H
+        den = cden * q ** max(len(x) - 1, 0)
+        return Fraction(acc_lo, den), Fraction(acc_hi, den)
 
     def sign(self, x) -> int:
         if self.is_zero(x):
@@ -224,13 +229,14 @@ class _AlgebraicArith:
         diff = tuple(a - b for a, b in itertools.zip_longest(x, y, fillvalue=Fraction(0)))
         return self.sign(diff)
 
-    def _certified_floor(self, x) -> int:
+    def _certified_floor(self, x) -> tuple[int, Fraction]:
+        """Floor of x, with the lower end of the enclosure that decided it."""
         for tol in self.precision.tolerances():
             lo, hi = self.enclosure(x, tol)
             flo = lo.numerator // lo.denominator
             fhi = hi.numerator // hi.denominator
             if flo == fhi:
-                return flo
+                return flo, lo
             if fhi - flo == 1:
                 # x might be exactly the integer fhi
                 probe = list(x)
@@ -238,16 +244,17 @@ class _AlgebraicArith:
                     probe = [Fraction(0)]
                 probe[0] -= fhi
                 if self.is_zero(tuple(probe)):
-                    return fhi
+                    return fhi, lo
         raise UndecidableAtPrecisionError(
             "floor undecided at max precision", straddled=fhi)
 
     def step(self, x) -> tuple[int, tuple[Fraction, ...]]:
         v = self._mul_beta(x)
-        d = self._certified_floor(v)
+        d, lo = self._certified_floor(v)
         probe = list(v) or [Fraction(0)]
         probe[0] -= d
-        if self.is_zero(tuple(probe)):
+        # an enclosure strictly above d already proves beta*x != d
+        if lo <= d and self.is_zero(tuple(probe)):
             # beta*x is exactly the integer d, so the image is exactly 1
             return d, (Fraction(1),)
         nxt = [-c for c in v]
@@ -321,15 +328,9 @@ class DigitStream:
         if not 0 < x <= 1:
             raise NegBetaError(f"start point must lie in (0,1], got {x}")
         self._points = [self.arith.from_rational(x)]
-        self._buckets: dict[object, list[int]] = {}
-        self._bucket_add(0)
+        self._buckets: dict[object, list[int]] = {self.arith.key(self._points[0]): [0]}
 
-    def _bucket_add(self, index: int):
-        key = self.arith.key(self._points[index])
-        self._buckets.setdefault(key, []).append(index)
-
-    def _find_repeat(self, index: int) -> int | None:
-        key = self.arith.key(self._points[index])
+    def _find_repeat(self, index: int, key) -> int | None:
         candidates = []
         if isinstance(key, Fraction):
             candidates = self._buckets.get(key, [])
@@ -351,11 +352,12 @@ class DigitStream:
         self.digits.append(d)
         self._points.append(nxt)
         idx = len(self._points) - 1
-        rep = self._find_repeat(idx)
+        key = self.arith.key(nxt)
+        rep = self._find_repeat(idx, key)
         if rep is not None:
             self.word = canonicalize(self.digits[:rep], self.digits[rep:idx])
         else:
-            self._bucket_add(idx)
+            self._buckets.setdefault(key, []).append(idx)
 
     def digit(self, k: int) -> int:
         """k-th expansion digit, 1-based."""

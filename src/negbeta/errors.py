@@ -38,6 +38,10 @@ class MalformedWordError(NegBetaError):
     reason = "malformed-word"
 
 
+class MalformedBaseError(NegBetaError):
+    reason = "malformed-base"
+
+
 class UndefinedDerivedWordError(NegBetaError):
     reason = "undefined-derived-word"
 
@@ -56,6 +60,12 @@ class DegenerateExpansionError(NegBetaError):
 
 class ResourceLimitError(NegBetaError):
     reason = "resource-limit"
+
+
+class InvariantError(NegBetaError):
+    """A mathematical invariant of the construction failed to hold."""
+
+    reason = "invariant-violated"
 
 
 class UndecidableAtPrecisionError(NegBetaError):

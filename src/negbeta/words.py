@@ -410,11 +410,6 @@ def _factorizes(w: EventuallyPeriodicWord, v: Digits, vp: Digits) -> bool:
     return alive(1, set())
 
 
-def concat_words(prefix, w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
-    """The word ``prefix . w`` (prefix a finite digit word)."""
-    return canonicalize(_as_digits(prefix) + w.pre, w.per)
-
-
 def periodization(v) -> EventuallyPeriodicWord:
     """The purely periodic word (v)^inf."""
     return canonicalize((), v)

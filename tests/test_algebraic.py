@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from negbeta.algebraic import (
     AlgebraicNumber,
+    IntPolynomial,
     NEITHER,
     PERRON_NOT_PISOT,
     PISOT,
@@ -18,6 +19,9 @@ from negbeta.algebraic import (
     poly_from_descending,
     root_upper_bound,
     shift_root,
+    _mul,
+    _sign_at,
+    _squarefree_part,
 )
 from negbeta.errors import SupNotFixedError
 from negbeta.words import canonicalize, compare_with_u, sup_of_shifts, word
@@ -220,3 +224,87 @@ def test_classify_non_monic_is_neither():
     r = largest_root_gt1(poly_from_descending(2, -2, -1))
     assert r is not None and not r.is_rational()
     assert classify_perron_pisot(r) == NEITHER
+
+
+# --- integer bisection against the Fraction oracles ---------------------------
+
+def _sign_at_oracle(a, x):
+    """Sign of a(x), as the sign evaluator computed it before the integer
+    Horner helper: the powers of p and q kept in separate lists."""
+    if not a:
+        return 0
+    p, q = x.numerator, x.denominator
+    acc = 0
+    qpow = 1
+    ppow = [1] * len(a)
+    for i in range(1, len(a)):
+        ppow[i] = ppow[i - 1] * p
+    for i in range(len(a) - 1, -1, -1):
+        acc += a[i] * ppow[i] * qpow
+        qpow *= q
+    return (acc > 0) - (acc < 0)
+
+
+def _refine_oracle(sf, interval, tol):
+    """Bisection with Fraction endpoints, as refine did it before it bisected
+    integer numerators."""
+    lo, hi = interval
+    s_lo = _sign_at_oracle(sf, lo)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s_mid = _sign_at_oracle(sf, mid)
+        if s_mid == 0:
+            return (mid, mid)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+tolerances = st.one_of(
+    st.integers(0, 300).map(lambda k: Fraction(1, 2**k)),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**9)),
+)
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=9), rationals)
+@settings(max_examples=300, deadline=None)
+def test_sign_at_matches_oracle(coeffs, x):
+    a = tuple(coeffs)
+    assert _sign_at(a, x) == _sign_at_oracle(a, x)
+
+
+@given(st.lists(st.integers(-20, 20), min_size=3, max_size=8).filter(lambda c: c[-1] != 0),
+       st.lists(tolerances, min_size=1, max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_refine_matches_fraction_oracle(coeffs, tols):
+    sf = _squarefree_part(tuple(coeffs))
+    poly = IntPolynomial(sf)
+    bound = root_upper_bound(poly)
+    for root in isolate_real_roots(poly, -bound, bound):
+        if root.is_rational():
+            continue
+        expected = root.interval
+        for tol in tols:
+            expected = _refine_oracle(root._sf, expected, tol)
+            got = root.refine(tol)
+            assert got == expected and root.interval == expected
+            assert all(type(e) is Fraction for e in got)
+
+
+@pytest.mark.parametrize("factors,interval", [
+    (((-3, 2),), (Fraction(1), Fraction(2))),
+    (((-3, 8), (-2, 0, 1)), (Fraction(0), Fraction(1))),
+    (((-5, 84), (1, 1, 0, 1)), (Fraction(-1, 3), Fraction(5, 7))),
+])
+def test_refine_lands_on_a_dyadic_root_like_the_oracle(factors, interval):
+    coeffs = (1,)
+    for f in factors:
+        coeffs = _mul(coeffs, f)
+    num = AlgebraicNumber(IntPolynomial(coeffs), interval)
+    expected = _refine_oracle(num._sf, interval, Fraction(1, 2**40))
+    assert expected[0] == expected[1]
+    assert num.refine(Fraction(1, 2**40)) == expected
+    assert num.exact == expected[0] and num.interval == expected

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from negbeta.algebraic import largest_root_gt1, poly_from_descending
 from negbeta.analysis import (
+    _b1_exponent,
     analyze,
     count_b1,
     epsilon_of,
@@ -23,7 +24,7 @@ from negbeta.analysis import (
     witness_word,
 )
 from negbeta.dynamics import MembershipOracle, expansion_of_one, BetaValue
-from negbeta.errors import NegBetaError, PatternUndefinedError
+from negbeta.errors import InvariantError, NegBetaError, PatternUndefinedError
 from negbeta.permutations import Permutation, all_permutations, parse_permutation, z_digits
 from negbeta.words import canonicalize, word
 
@@ -131,6 +132,11 @@ def test_analyze_3421_threshold_one():
     r = analyze("3421")
     assert r.b_minus == 1 and r.b1_exponent == 2
     assert r.poly is None and r.n_minus == 2
+
+
+def test_b1_exponent_of_a_non_substitution_word_is_a_typed_error():
+    with pytest.raises(InvariantError):
+        _b1_exponent(word("(10)"))
 
 
 def test_analyze_degree_eight_example():

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -7,7 +8,9 @@ import pytest
 
 from negbeta.cli import parse_beta, run
 from negbeta.dynamics import PrecisionConfig
-from negbeta.errors import NegBetaError
+from negbeta.errors import MalformedBaseError, NegBetaError
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def invoke(argv, env=None):
@@ -155,3 +158,29 @@ def test_global_flags_accepted_before_subcommand():
     code, out, _ = invoke(["--format", "json", "count-b1", "4"])
     assert code == 0
     assert json.loads(out)["results"]["counts"] == [2, 5, 12]
+
+
+@pytest.mark.parametrize("text", [
+    "0/0", "1/0", "abc", "", "1/2/3", "poly:1,x:1", "poly:-1,-1,1:z",
+    "poly::1", "poly:1:2:3", "poly:0:1",
+])
+def test_parse_beta_rejects_malformed_bases(text):
+    with pytest.raises(MalformedBaseError):
+        parse_beta(text, PrecisionConfig())
+
+
+@pytest.mark.parametrize("beta", ["0/0", "abc", "poly:-1,-1,1:z"])
+def test_malformed_base_exit_code(beta):
+    code, _, err = invoke(["expansion", "--beta", beta])
+    assert code == 2
+    assert "malformed-base" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["expansion", "--beta", "poly:-2,1,0,-1,0,-2,1:1"], "expansion_degree_six.json"),
+    (["verify", "4321"], "verify_4321.json"),
+    (["verify", "14523"], "verify_14523.json"),
+])
+def test_output_matches_golden_envelope(argv, golden):
+    expected = json.loads((DATA / golden).read_text())
+    assert strip_timing(envelope(argv)) == expected

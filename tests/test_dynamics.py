@@ -4,8 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negbeta.algebraic import b_of, largest_root_gt1, poly_from_descending
+from negbeta import dynamics
+from negbeta.algebraic import (
+    IntPolynomial,
+    _mul,
+    b_of,
+    isolate_real_roots,
+    largest_root_gt1,
+    poly_from_descending,
+)
+from negbeta.cli import parse_beta
 from negbeta.dynamics import (
+    DEFAULT_PRECISION,
     BetaValue,
     MembershipOracle,
     conjugacy_map,
@@ -14,6 +24,7 @@ from negbeta.dynamics import (
     initial_state,
     interval_map_step,
     lower_bound_word,
+    orbit_points,
     shift_membership,
     step,
     t_step_rational,
@@ -215,3 +226,80 @@ def test_membership_flips_at_the_threshold_base():
         if below > 1:
             assert not MembershipOracle(below).contains(w)
         assert MembershipOracle(above).contains(w)
+
+
+# --- integer enclosures and the interval fast path of the zero test -------------
+
+# x^4 - x^3 - 4x^2 + 3x + 3 = (x^2 - x - 1)(x^2 - 3): its smaller root above 1 is
+# the golden ratio, held in a reducible field representation in which distinct
+# coefficient tuples can have the same value.
+GOLDEN_TIMES_SQRT3 = IntPolynomial(_mul((-1, -1, 1), (-3, 0, 1)))
+DEGREE_SIX = "poly:-2,1,0,-1,0,-2,1:1"
+
+
+def golden_reducible():
+    root = isolate_real_roots(GOLDEN_TIMES_SQRT3, Fraction(1), Fraction(10))[0]
+    return BetaValue.from_algebraic(root)
+
+
+def enclosure_bases():
+    return [beta_golden(), golden_reducible(),
+            BetaValue.from_algebraic(largest_root_gt1(FIG1_BASE)),
+            parse_beta(DEGREE_SIX, DEFAULT_PRECISION)]
+
+
+def _enclosure_oracle(x, lo, hi):
+    """Termwise interval evaluation with Fraction sums, as enclosure computed
+    it before it summed integer numerators."""
+    acc_lo = acc_hi = Fraction(0)
+    plo, phi = Fraction(1), Fraction(1)
+    for c in x:
+        a, b = c * plo, c * phi
+        if a > b:
+            a, b = b, a
+        acc_lo += a
+        acc_hi += b
+        plo *= lo
+        phi *= hi
+    return acc_lo, acc_hi
+
+
+@given(st.integers(0, 3),
+       st.lists(st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6)),
+                max_size=6),
+       st.integers(0, 400))
+@settings(max_examples=200, deadline=None)
+def test_enclosure_matches_fraction_oracle(which, coeffs, bits):
+    arith = dynamics._arith_for(enclosure_bases()[which], DEFAULT_PRECISION)
+    x = tuple(coeffs[:arith.deg])
+    tol = Fraction(1, 2**bits)
+    got = arith.enclosure(x, tol)
+    assert got == _enclosure_oracle(x, *arith.num.refine(tol))
+    assert all(type(e) is Fraction for e in got)
+
+
+def test_is_zero_true_on_reduced_multiples_of_the_minimal_polynomial():
+    arith = dynamics._arith_for(golden_reducible(), DEFAULT_PRECISION)
+    for r in ((1,), (2, 1), (Fraction(-3, 7), 0, 5, 1)):
+        x = arith._reduce([Fraction(c) for c in _mul((-1, -1, 1), r)])
+        assert x and arith.is_zero(x)
+    # the other factor does not vanish at the golden ratio
+    assert not arith.is_zero((Fraction(-3), Fraction(0), Fraction(1)))
+
+
+def test_is_zero_true_on_a_period_repeat_at_a_yrrap_base():
+    arith, pts = orbit_points(golden_reducible(), 1, 3)
+    # T(1) = 2 - beta and T^2(1) = (beta - 1)^2 are equal, written differently
+    assert pts[1] != pts[2]
+    diff = tuple(a - b for a, b in zip(pts[1] + (Fraction(0),), pts[2]))
+    assert arith.is_zero(diff) and arith.equal(pts[1], pts[2])
+    assert expansion_of_one(golden_reducible()).word == word("1(0)")
+
+
+def test_nonperiodic_expansion_decides_every_zero_test_by_intervals(monkeypatch):
+    calls = []
+    real_gcd = dynamics._poly_gcd
+    monkeypatch.setattr(dynamics, "_poly_gcd", lambda *a: calls.append(a) or real_gcd(*a))
+    res = expansion_of_one(parse_beta(DEGREE_SIX, DEFAULT_PRECISION), max_digits=200)
+    assert len(res.digits) == 200 and not res.is_periodic
+    assert calls == []
