@@ -17,7 +17,7 @@ from math import gcd as int_gcd
 import mpmath
 
 from . import words
-from .errors import SupNotFixedError
+from .errors import InvariantError, MalformedBaseError, SupNotFixedError
 from .words import EventuallyPeriodicWord
 
 Coeffs = tuple[int, ...]  # ascending degree
@@ -423,11 +423,15 @@ class AlgebraicNumber:
 
     def equals(self, other) -> bool:
         """Exact equality: the gcd of the defining polynomials must have a
-        root in the overlap of the isolating intervals."""
+        root in the overlap of the isolating intervals.  Disjoint current
+        intervals already prove the numbers differ, with no gcd and no
+        refinement."""
         if isinstance(other, (int, Fraction)):
             other = AlgebraicNumber.from_rational(Fraction(other))
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact
+        if self.interval[1] < other.interval[0] or other.interval[1] < self.interval[0]:
+            return False
         g = _poly_gcd(self._sf, other._sf)
         if len(g) <= 1:
             return False
@@ -545,6 +549,8 @@ def isolate_real_roots(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> list[
 def root_upper_bound(poly: IntPolynomial) -> Fraction:
     """Cauchy bound: every real root has absolute value below this."""
     c = poly.coefficients
+    if not c:
+        raise MalformedBaseError("the zero polynomial has no root bound")
     lead = abs(c[-1])
     return 1 + max(Fraction(abs(x), lead) for x in c)
 
@@ -552,7 +558,7 @@ def root_upper_bound(poly: IntPolynomial) -> Fraction:
 def largest_root_gt1(poly: IntPolynomial) -> AlgebraicNumber | None:
     """Greatest real root strictly above 1, or None when there is none."""
     if poly.is_zero():
-        raise ValueError("zero polynomial")
+        raise MalformedBaseError("the zero polynomial has no largest root")
     if poly.degree < 1:
         return None
     hi = root_upper_bound(poly)
@@ -640,7 +646,8 @@ def classify_perron_pisot(num: AlgebraicNumber) -> str:
             self_seen = True
             continue
         conjugates.append((z, rad))
-    assert self_seen, "the root itself was not matched among the enclosures"
+    if not self_seen:
+        raise InvariantError("the root itself was not matched among the enclosures")
     margin = Fraction(1, 10**6)
     if all(abs(z) + rad < 1 - float(margin) for z, rad in conjugates):
         return PISOT

@@ -203,10 +203,10 @@ def epsilon_of(pi: Permutation, a: EventuallyPeriodicWord | None = None) -> int:
     return 1 if a == canonicalize((), (c, 0)) else 0
 
 
-def n_minus_formula(pi: Permutation) -> int:
+def n_minus_formula(pi: Permutation, a: EventuallyPeriodicWord | None = None) -> int:
     """Minimal number of distinct values of a realizing sequence, from the
     digit skeleton alone (no root isolation)."""
-    return max_z(pi) + 1 + epsilon_of(pi)
+    return max_z(pi) + 1 + epsilon_of(pi, a)
 
 
 def _is_b1(a: EventuallyPeriodicWord) -> bool:
@@ -278,27 +278,22 @@ def count_b1(n_max: int, jobs: int = 1) -> list[int]:
     2 .. n_max, by full enumeration (no root isolation involved)."""
     if n_max > ENUMERATION_BOUND:
         raise ResourceLimitError(f"enumeration bound is {ENUMERATION_BOUND}, asked for {n_max}")
-    out = []
-    for n in range(2, n_max + 1):
-        if jobs > 1:
-            out.append(sum(_count_b1_parallel(n, jobs)))
-        else:
-            out.append(sum(1 for image in itertools.permutations(range(1, n + 1))
-                           if _b1_fast(image)))
-    return out
+    lengths = range(2, n_max + 1)
+    if jobs > 1 and n_max >= 2:
+        import multiprocessing
+
+        # one block per first value, so no length needs more than n_max workers
+        with multiprocessing.Pool(min(jobs, n_max)) as pool:
+            return [sum(pool.map(_count_b1_block, [(n, first) for first in range(1, n + 1)]))
+                    for n in lengths]
+    return [sum(1 for image in itertools.permutations(range(1, n + 1)) if _b1_fast(image))
+            for n in lengths]
 
 
 def _count_b1_block(args) -> int:
     n, first = args
     rest = [v for v in range(1, n + 1) if v != first]
     return sum(1 for tail in itertools.permutations(rest) if _b1_fast((first, *tail)))
-
-
-def _count_b1_parallel(n: int, jobs: int) -> list[int]:
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(_count_b1_block, [(n, first) for first in range(1, n + 1)])
 
 
 # --- the spectrum of thresholds over S_n --------------------------------------
@@ -330,29 +325,46 @@ class SpectrumGroup:
 def spectrum(n: int) -> list[SpectrumGroup]:
     """Group S_n by threshold base, in increasing order of the base.
 
-    Equal bases are detected through polynomial-root identity (common factor
-    of the defining polynomials with overlapping isolating intervals), never
-    through decimal approximations.
+    The base depends only on the threshold word, so S_n is first bucketed by
+    word and one root is isolated per word.  Sorted by lower endpoint, the
+    roots fall into clusters of chained overlapping intervals.  Equal roots
+    share a cluster: both intervals contain the common value, so the running
+    upper end stays above every lower endpoint sorted between them.  So
+    ``equals`` -- polynomial-root identity, never decimals -- is only asked
+    within a cluster.
     """
     if n > 8:
         raise ResourceLimitError("spectrum enumeration is limited to n <= 8")
-    groups: list[SpectrumGroup] = []
-    ones: list[Permutation] = []
+    buckets: dict[EventuallyPeriodicWord, list[Permutation]] = {}
     for pi in all_permutations(n):
-        a = a_sequence(pi)
+        buckets.setdefault(a_sequence(pi), []).append(pi)
+    ones: list[Permutation] = []
+    roots = []
+    for a, members in buckets.items():
         if _is_b1(a):
-            ones.append(pi)
+            ones.extend(members)
             continue
         b = b_of(a)
-        poly = char_polynomial(a)
-        for g in groups:
+        b.refine(Fraction(1, 2**24))
+        roots.append((b, char_polynomial(a), members))
+    roots.sort(key=lambda root: root[0].interval[0])
+    groups: list[SpectrumGroup] = []
+    cluster: list[SpectrumGroup] = []
+    cluster_hi = Fraction(1)  # every base here exceeds 1
+    for b, poly, members in roots:
+        lo, hi = b.interval
+        if lo > cluster_hi:
+            cluster = []
+        cluster_hi = max(cluster_hi, hi)
+        for g in cluster:
             if g.value.equals(b):
-                g.members.append(pi)
+                g.members.extend(members)
                 common = _poly_gcd(g.poly.coefficients, poly.coefficients)
                 g.poly = IntPolynomial(common).sign_normalized()
                 break
         else:
-            groups.append(SpectrumGroup(value=b, poly=poly.squarefree_part(), members=[pi]))
+            cluster.append(SpectrumGroup(value=b, poly=poly.squarefree_part(), members=members))
+            groups.append(cluster[-1])
     groups.sort(key=functools.cmp_to_key(lambda g, h: g.value.compare(h.value)))
     if ones:
         one_group = SpectrumGroup(value=1, poly=IntPolynomial((-1, 1)), members=ones)
@@ -416,14 +428,17 @@ def extremal_report(n: int) -> ExtremalReport:
     nm_set: list[Permutation] = []
     if exhaustive:
         target_floor = n - 2
+        settled: dict[EventuallyPeriodicWord, bool] = {}
         for pi in all_permutations(n):
-            nm = n_minus_formula(pi)
+            a = a_sequence(pi)
+            nm = n_minus_formula(pi, a)
             if nm == n - 1:
                 nm_set.append(pi)
             if nm - 1 == target_floor:
-                # candidate for the maximum; settle exactly
-                a = a_sequence(pi)
-                if not _is_b1(a) and b_of(a).equals(lam):
+                # candidate for the maximum; settle exactly, once per word
+                if a not in settled:
+                    settled[a] = not _is_b1(a) and b_of(a).equals(lam)
+                if settled[a]:
                     attaining.append(pi)
     else:
         attaining = [max_families(n)[2] if n % 2 == 0 else max_families(n)[3]]

@@ -129,12 +129,14 @@ def circular(pi: Permutation) -> Permutation:
     >>> str(circular(parse_permutation("3421")))
     '3142'
     """
-    n = pi.n
-    img = [0] * n
-    for j in range(1, n):
-        img[pi(j) - 1] = pi(j + 1)
-    img[pi(n) - 1] = pi(1)
-    return Permutation(tuple(img))
+    return Permutation(_circular_image(pi))
+
+
+def _circular_image(pi: Permutation) -> tuple[int, ...]:
+    img = [0] * pi.n
+    for v, w in zip(pi.image, pi.image[1:] + pi.image[:1]):
+        img[v - 1] = w
+    return tuple(img)
 
 
 def landmarks(pi: Permutation) -> Landmarks:
@@ -156,7 +158,7 @@ def _marked_values(pi: Permutation) -> list[bool]:
     word with the entry at value pi(n) deleted.
     """
     n = pi.n
-    tilde = circular(pi).image
+    tilde = _circular_image(pi)
     last = pi(n)
     marked = [False] * (n - 1)
     for i in range(1, n):
@@ -215,9 +217,12 @@ def is_collapsed(pi: Permutation) -> bool:
     if pi.n < 2:
         return False
     lm = landmarks(pi)
+    return lm.ell is not None and lm.r is not None and _collapsed(lm, z_digits(pi).digits)
+
+
+def _collapsed(lm: Landmarks, z: tuple[int, ...]) -> bool:
     if lm.ell is None or lm.r is None:
         return False
-    z = z_digits(pi).digits
     zl = z[lm.ell - 1:]
     zr = z[lm.r - 1:]
     return zl == zr + zr or zr == zl + zl
@@ -231,8 +236,10 @@ def z_variants(pi: Permutation) -> list[DigitVector]:
     """
     if not is_collapsed(pi):
         raise VariantUndefinedError(f"{pi} is not collapsed")
-    lm = landmarks(pi)
-    z = z_digits(pi).digits
+    return _variants(pi, landmarks(pi), z_digits(pi).digits)
+
+
+def _variants(pi: Permutation, lm: Landmarks, z: tuple[int, ...]) -> list[DigitVector]:
     out = []
     for i in range(abs(lm.r - lm.ell)):
         threshold = pi(lm.r + i) if i % 2 == 0 else pi(lm.ell + i)
@@ -258,23 +265,23 @@ def a_sequence(pi: Permutation) -> EventuallyPeriodicWord:
         raise UndefinedLandmarksError("the threshold word needs n >= 2")
     lm = landmarks(pi)
     n, m = pi.n, lm.m
-    collapsed = is_collapsed(pi)
+    z = z_digits(pi)
+    collapsed = _collapsed(lm, z.digits)
 
     def assemble(vec: DigitVector, tail_start: int) -> EventuallyPeriodicWord:
         return canonicalize(vec.digits[m - 1:], vec.digits[tail_start - 1:])
 
     if (n - m) % 2 == 0:
         if pi(n) == 1:
-            z = z_digits(pi)
             a = canonicalize((), z.digits[m - 1:] + (0,))
         elif not collapsed:
-            a = assemble(z_digits(pi), lm.ell)
+            a = assemble(z, lm.ell)
         else:
-            a = min((assemble(v, lm.ell) for v in z_variants(pi)))
+            a = min((assemble(v, lm.ell) for v in _variants(pi, lm, z.digits)))
     else:
         if not collapsed:
-            a = assemble(z_digits(pi), lm.r)
+            a = assemble(z, lm.r)
         else:
-            a = min((assemble(v, lm.r) for v in z_variants(pi)))
+            a = min((assemble(v, lm.r) for v in _variants(pi, lm, z.digits)))
     assert words.sup_of_shifts(a) == a, "threshold word must be fixed under sup of shifts"
     return a

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import MalformedWordError, SupNotFixedError, UndefinedDerivedWordError
+from .errors import InvariantError, MalformedWordError, SupNotFixedError, UndefinedDerivedWordError
 
 Digits = tuple[int, ...]
 
@@ -351,7 +351,7 @@ def compare_with_u(w: EventuallyPeriodicWord, hard_cap: int = 1 << 22) -> int:
                     return LESS if a < b else GREATER
                 return GREATER if a < b else LESS
         if length > hard_cap:
-            raise AssertionError("eventually periodic word indistinguishable from u")
+            raise InvariantError(f"{w} is indistinguishable from u within {hard_cap} digits")
         length *= 2
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from negbeta import algebraic
 from negbeta.algebraic import (
     AlgebraicNumber,
     IntPolynomial,
@@ -23,7 +24,7 @@ from negbeta.algebraic import (
     _sign_at,
     _squarefree_part,
 )
-from negbeta.errors import SupNotFixedError
+from negbeta.errors import InvariantError, MalformedBaseError, SupNotFixedError
 from negbeta.words import canonicalize, compare_with_u, sup_of_shifts, word
 
 
@@ -122,6 +123,48 @@ def test_algebraic_equality_across_defining_polynomials():
     assert a.compare(c) < 0
 
 
+def _count_gcds(monkeypatch) -> list:
+    calls = []
+    real = algebraic._poly_gcd
+    monkeypatch.setattr(algebraic, "_poly_gcd", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_equals_on_disjoint_intervals_runs_no_gcd_and_no_refinement(monkeypatch):
+    golden = AlgebraicNumber(poly_from_descending(1, -1, -1), (Fraction(3, 2), Fraction(33, 20)))
+    sqrt3 = AlgebraicNumber(poly_from_descending(1, 0, -3), (Fraction(17, 10), Fraction(2)))
+    calls = _count_gcds(monkeypatch)
+    assert not golden.equals(sqrt3) and not sqrt3.equals(golden)
+    assert golden.compare(sqrt3) < 0
+    assert calls == []
+    assert golden.interval == (Fraction(3, 2), Fraction(33, 20))
+    assert sqrt3.interval == (Fraction(17, 10), Fraction(2))
+
+
+def test_equals_across_a_reducible_defining_polynomial():
+    golden = largest_root_gt1(poly_from_descending(1, -1, -1))
+    # (x^2 - x - 1)(x - 3): the golden ratio is its only root in (1, 2]
+    (other,) = isolate_real_roots(poly_from_descending(1, -4, 2, 3), Fraction(1), Fraction(2))
+    assert golden.equals(other) and other.equals(golden)
+
+
+def test_equals_on_overlapping_intervals_of_distinct_roots(monkeypatch):
+    # sqrt 2 as a root of (x^2 - 2)(x^2 - 3), sqrt 3 as a root of x^2 - 3:
+    # the intervals overlap and the gcd x^2 - 3 is nontrivial, yet the values differ
+    sqrt2 = AlgebraicNumber(poly_from_descending(1, 0, -5, 0, 6), (Fraction(13, 10), Fraction(3, 2)))
+    sqrt3 = AlgebraicNumber(poly_from_descending(1, 0, -3), (Fraction(13, 10), Fraction(2)))
+    calls = _count_gcds(monkeypatch)
+    assert not sqrt2.equals(sqrt3) and not sqrt3.equals(sqrt2)
+    assert calls
+
+
+def test_zero_polynomial_is_a_typed_error():
+    with pytest.raises(MalformedBaseError):
+        root_upper_bound(IntPolynomial(()))
+    with pytest.raises(MalformedBaseError):
+        largest_root_gt1(IntPolynomial(()))
+
+
 def test_floor_of_algebraic():
     assert largest_root_gt1(poly_from_descending(1, -1, -1)).floor() == 1
     assert largest_root_gt1(poly_from_descending(1, -2, -1, 1)).floor() == 2
@@ -218,6 +261,14 @@ def test_classify_perron_not_pisot():
     # modulus sqrt(2/1.695) > 1, so Perron but not Pisot
     r = largest_root_gt1(poly_from_descending(1, -1, 0, -2))
     assert classify_perron_pisot(r) == PERRON_NOT_PISOT
+
+
+def test_classify_unmatched_root_is_a_typed_error(monkeypatch):
+    golden = largest_root_gt1(poly_from_descending(1, -1, -1))
+    # enclosures that list only the conjugate, never the root itself
+    monkeypatch.setattr(algebraic, "_certified_roots", lambda sf, dps=60: [(complex(-0.618034), 1e-6)])
+    with pytest.raises(InvariantError):
+        classify_perron_pisot(golden)
 
 
 def test_classify_non_monic_is_neither():

@@ -1,13 +1,26 @@
+import functools
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negbeta.algebraic import largest_root_gt1, poly_from_descending
+from negbeta import algebraic, analysis
+from negbeta.algebraic import (
+    IntPolynomial,
+    _poly_gcd,
+    b_of,
+    char_polynomial,
+    largest_root_gt1,
+    poly_from_descending,
+)
 from negbeta.analysis import (
+    SpectrumGroup,
     _b1_exponent,
+    _is_b1,
     analyze,
     count_b1,
     epsilon_of,
@@ -25,7 +38,13 @@ from negbeta.analysis import (
 )
 from negbeta.dynamics import MembershipOracle, expansion_of_one, BetaValue
 from negbeta.errors import InvariantError, NegBetaError, PatternUndefinedError
-from negbeta.permutations import Permutation, all_permutations, parse_permutation, z_digits
+from negbeta.permutations import (
+    Permutation,
+    a_sequence,
+    all_permutations,
+    parse_permutation,
+    z_digits,
+)
 from negbeta.words import canonicalize, word
 
 
@@ -211,6 +230,86 @@ def test_spectrum_length_two():
     groups = spectrum(2)
     assert len(groups) == 1 and groups[0].value == 1
     assert [str(p) for p in groups[0].members] == ["12", "21"]
+
+
+def test_count_b1_reuses_one_pool_no_larger_than_needed(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the requested size and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    assert count_b1(6, jobs=64) == [2, 5, 12, 19, 34]
+    assert count_b1(6, jobs=3) == [2, 5, 12, 19, 34]
+    assert count_b1(6, jobs=1) == [2, 5, 12, 19, 34]
+    assert sizes == [6, 3]
+
+
+def _spectrum_all_pairs(n: int) -> list[SpectrumGroup]:
+    """Oracle: each permutation's root is compared with every earlier group."""
+    groups: list[SpectrumGroup] = []
+    ones: list[Permutation] = []
+    for pi in all_permutations(n):
+        a = a_sequence(pi)
+        if _is_b1(a):
+            ones.append(pi)
+            continue
+        b = b_of(a)
+        poly = char_polynomial(a)
+        for g in groups:
+            if g.value.equals(b):
+                g.members.append(pi)
+                g.poly = IntPolynomial(_poly_gcd(g.poly.coefficients, poly.coefficients)).sign_normalized()
+                break
+        else:
+            groups.append(SpectrumGroup(value=b, poly=poly.squarefree_part(), members=[pi]))
+    groups.sort(key=functools.cmp_to_key(lambda g, h: g.value.compare(h.value)))
+    if ones:
+        groups.insert(0, SpectrumGroup(value=1, poly=IntPolynomial((-1, 1)), members=ones))
+    for g in groups:
+        g.members.sort(key=lambda p: p.image)
+    return groups
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_spectrum_matches_all_pairs_oracle(n):
+    fast, slow = spectrum(n), _spectrum_all_pairs(n)
+    assert [g.to_json() for g in fast] == [g.to_json() for g in slow]
+    for g, h in zip(fast, slow):
+        assert g.value == h.value
+
+
+def test_spectrum_seven_is_pinned():
+    # sha256 of the groups' JSON as computed by the all-pairs grouping
+    text = json.dumps([g.to_json() for g in spectrum(7)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "b998a4aa506f196432c1bb0411604201820b61cabbfb300c6fb24769369ddff8"
+
+
+def test_spectrum_six_gcd_budget(monkeypatch):
+    # the all-pairs grouping ran 33942 gcds here; word buckets and the sorted
+    # sweep need fewer than a thousand
+    calls = []
+    real = algebraic._poly_gcd
+    counted = lambda *a: calls.append(a) or real(*a)  # noqa: E731
+    monkeypatch.setattr(algebraic, "_poly_gcd", counted)
+    monkeypatch.setattr(analysis, "_poly_gcd", counted)
+    assert len(spectrum(6)) == 181
+    assert len(calls) <= 1000
 
 
 def test_spectrum_groups_share_exact_value():

@@ -180,6 +180,8 @@ def test_malformed_base_exit_code(beta):
     (["expansion", "--beta", "poly:-2,1,0,-1,0,-2,1:1"], "expansion_degree_six.json"),
     (["verify", "4321"], "verify_4321.json"),
     (["verify", "14523"], "verify_14523.json"),
+    (["spectrum", "6"], "spectrum_6.json"),
+    (["extremal", "7"], "extremal_7.json"),
 ])
 def test_output_matches_golden_envelope(argv, golden):
     expected = json.loads((DATA / golden).read_text())

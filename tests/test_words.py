@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negbeta import words as W
-from negbeta.errors import MalformedWordError, SupNotFixedError, UndefinedDerivedWordError
+from negbeta.errors import (
+    InvariantError,
+    MalformedWordError,
+    SupNotFixedError,
+    UndefinedDerivedWordError,
+)
 from negbeta.words import (
     alt_lex_compare,
     canonicalize,
@@ -243,6 +248,13 @@ def test_compare_with_u_examples():
     assert compare_with_u(word("(2)")) > 0
     # deep tie: diverges from u only at position 16
     assert compare_with_u(word("10011(100)")) > 0
+
+
+def test_compare_with_u_cap_is_a_typed_error(monkeypatch):
+    w = word("(10)")
+    monkeypatch.setattr(W, "u_prefix", w.prefix)  # a stand-in u that w matches everywhere
+    with pytest.raises(InvariantError):
+        compare_with_u(w, hard_cap=128)
 
 
 # --- concatenation language {v, v'} ----------------------------------------------
