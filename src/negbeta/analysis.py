@@ -203,10 +203,10 @@ def epsilon_of(pi: Permutation, a: EventuallyPeriodicWord | None = None) -> int:
     return 1 if a == canonicalize((), (c, 0)) else 0
 
 
-def n_minus_formula(pi: Permutation, a: EventuallyPeriodicWord | None = None) -> int:
+def n_minus_formula(pi: Permutation) -> int:
     """Minimal number of distinct values of a realizing sequence, from the
     digit skeleton alone (no root isolation)."""
-    return max_z(pi) + 1 + epsilon_of(pi, a)
+    return max_z(pi) + 1 + epsilon_of(pi)
 
 
 def _is_b1(a: EventuallyPeriodicWord) -> bool:
@@ -428,17 +428,14 @@ def extremal_report(n: int) -> ExtremalReport:
     nm_set: list[Permutation] = []
     if exhaustive:
         target_floor = n - 2
-        settled: dict[EventuallyPeriodicWord, bool] = {}
         for pi in all_permutations(n):
-            a = a_sequence(pi)
-            nm = n_minus_formula(pi, a)
+            nm = n_minus_formula(pi)
             if nm == n - 1:
                 nm_set.append(pi)
             if nm - 1 == target_floor:
-                # candidate for the maximum; settle exactly, once per word
-                if a not in settled:
-                    settled[a] = not _is_b1(a) and b_of(a).equals(lam)
-                if settled[a]:
+                # candidate for the maximum; settle exactly
+                a = a_sequence(pi)
+                if not _is_b1(a) and b_of(a).equals(lam):
                     attaining.append(pi)
     else:
         attaining = [max_families(n)[2] if n % 2 == 0 else max_families(n)[3]]
