@@ -27,9 +27,7 @@ from .dynamics import (
     BetaValue,
     MembershipOracle,
     expansion_of_one,
-    lower_bound_word,
     orbit_points,
-    shift_membership,
 )
 from .errors import (
     InvariantError,
@@ -42,14 +40,12 @@ from .permutations import (
     DigitVector,
     Landmarks,
     Permutation,
+    Skeleton,
     a_sequence,
     all_permutations,
-    is_collapsed,
-    landmarks,
-    max_z,
+    mark_count,
     perm,
-    z_digits,
-    z_variants,
+    skeleton,
 )
 from .words import EventuallyPeriodicWord, canonicalize, periodization
 
@@ -121,25 +117,14 @@ def prop1_check(w: EventuallyPeriodicWord, pi: Permutation) -> bool:
     inequality on the first n-1 letters, and the two tail comparisons at
     position n against the landmark positions."""
     n = pi.n
-    z = z_digits(pi).digits
-    ok = _prop1_conditions(w, pi, z)
-    if __debug__:
-        try:
-            direct = pat_of_word(w, n) == pi
-        except PatternUndefinedError:
-            direct = False
-        assert ok == direct, f"structural conditions disagree with the direct pattern for {w}, {pi}"
-    return ok
-
-
-def _prop1_conditions(w: EventuallyPeriodicWord, pi: Permutation, z) -> bool:
-    n = pi.n
+    sk = skeleton(pi)
+    z = sk.z.digits
     d = w.prefix(n - 1)
     for i in range(1, n):
         for j in range(1, n):
             if pi(j) > pi(i) and d[j - 1] - d[i - 1] < z[j - 1] - z[i - 1]:
                 return False
-    lm = landmarks(pi)
+    lm = sk.landmarks
     cmp = _tail_comparator(w, n)
     if pi(n) != 1 and cmp(n, lm.ell) <= 0:
         return False
@@ -192,21 +177,16 @@ class AnalysisReport:
         }
 
 
-def epsilon_of(pi: Permutation, a: EventuallyPeriodicWord | None = None) -> int:
+def epsilon_of(pi: Permutation) -> int:
     """1 when pi is collapsed or the threshold word is the periodization of
     (max digit, 0), else 0."""
-    if a is None:
-        a = a_sequence(pi)
-    if is_collapsed(pi):
-        return 1
-    c = max_z(pi)
-    return 1 if a == canonicalize((), (c, 0)) else 0
+    return skeleton(pi).epsilon
 
 
 def n_minus_formula(pi: Permutation) -> int:
     """Minimal number of distinct values of a realizing sequence, from the
     digit skeleton alone (no root isolation)."""
-    return max_z(pi) + 1 + epsilon_of(pi)
+    return skeleton(pi).n_minus
 
 
 def _is_b1(a: EventuallyPeriodicWord) -> bool:
@@ -230,12 +210,8 @@ def analyze(pi) -> AnalysisReport:
     pi = perm(pi)
     if pi.n < 2:
         raise NegBetaError("analysis needs n >= 2; length-1 patterns carry no order content")
-    lm = landmarks(pi)
-    z = z_digits(pi)
-    collapsed = is_collapsed(pi)
-    variants = tuple(z_variants(pi)) if collapsed else ()
-    a = a_sequence(pi)
-    eps = epsilon_of(pi, a)
+    sk = skeleton(pi)
+    a = sk.a
     if _is_b1(a):
         b = 1
         poly = None
@@ -246,12 +222,12 @@ def analyze(pi) -> AnalysisReport:
         b = b_of(a)
         exponent = None
         floor_b = b.floor()
-    n_minus = max_z(pi) + 1 + eps
-    assert n_minus == floor_b + 1, f"alphabet formula disagrees with floor for {pi}"
+    if sk.n_minus != floor_b + 1:
+        raise InvariantError(f"alphabet formula disagrees with floor for {pi}")
     return AnalysisReport(
-        pi=pi, landmarks=lm, z=z, variants=variants, collapsed=collapsed,
-        a=a, poly=poly, b_minus=b, n_minus=n_minus, epsilon=eps,
-        b1_exponent=exponent,
+        pi=pi, landmarks=sk.landmarks, z=sk.z, variants=sk.variants,
+        collapsed=sk.collapsed, a=a, poly=poly, b_minus=b, n_minus=sk.n_minus,
+        epsilon=sk.epsilon, b1_exponent=exponent,
     )
 
 
@@ -262,15 +238,15 @@ def _b1_fast(image: tuple[int, ...]) -> bool:
 
     The first digit of the threshold word is the mark count (plus one when
     collapsed), and the substitution fixed point starts with 1, so mark
-    counts of two or more can be rejected before assembling anything.
+    counts of two or more are rejected from the raw image, before building a
+    permutation or its skeleton.
     """
-    pi = Permutation(image)
-    marks = max_z(pi)
-    if marks >= 2:
+    if mark_count(image) >= 2:
         return False
-    if marks == 1 and is_collapsed(pi):
+    sk = skeleton(Permutation(image))
+    if sk.marks == 1 and sk.collapsed:
         return False
-    return _is_b1(a_sequence(pi))
+    return _is_b1(sk.a)
 
 
 def count_b1(n_max: int, jobs: int = 1) -> list[int]:
@@ -420,21 +396,23 @@ def extremal_report(n: int) -> ExtremalReport:
         raise NegBetaError("extremal analysis needs n >= 3")
     w_star = extremal_word(n)
     lam = b_of(w_star)
-    assert isinstance(lam, AlgebraicNumber)
-    assert lam.compare(Fraction(n - 2)) > 0 and lam.compare(Fraction(n - 1)) < 0, \
-        "extremal base must lie strictly between n-2 and n-1"
+    if not isinstance(lam, AlgebraicNumber):
+        raise InvariantError(f"extremal base of {w_star} is not an algebraic number")
+    if not (lam.compare(Fraction(n - 2)) > 0 and lam.compare(Fraction(n - 1)) < 0):
+        raise InvariantError("extremal base must lie strictly between n-2 and n-1")
     exhaustive = n <= ENUMERATION_BOUND and n <= 8
     attaining: list[Permutation] = []
     nm_set: list[Permutation] = []
     if exhaustive:
         target_floor = n - 2
         for pi in all_permutations(n):
-            nm = n_minus_formula(pi)
+            sk = skeleton(pi)
+            nm = sk.n_minus
             if nm == n - 1:
                 nm_set.append(pi)
             if nm - 1 == target_floor:
                 # candidate for the maximum; settle exactly
-                a = a_sequence(pi)
+                a = sk.a
                 if not _is_b1(a) and b_of(a).equals(lam):
                     attaining.append(pi)
     else:
@@ -463,11 +441,11 @@ class SearchBounds:
         return cls(max_prefix=2 * n, max_period=2 * n, max_alphabet=n)
 
 
-def _condition_i_prefixes(pi: Permutation, alphabet_size: int) -> list[tuple[int, ...]]:
+def _condition_i_prefixes(sk: Skeleton, alphabet_size: int) -> list[tuple[int, ...]]:
     """All first-(n-1)-digit choices satisfying the digit-gap condition with
     digits below alphabet_size: offsets above the skeleton must be
     nondecreasing along the ranks of pi."""
-    z = z_digits(pi).digits
+    pi, z = sk.pi, sk.z.digits
     order = sorted(range(1, pi.n), key=lambda j: pi(j))
     results: list[tuple[int, ...]] = []
     w = [0] * (pi.n - 1)
@@ -485,54 +463,9 @@ def _condition_i_prefixes(pi: Permutation, alphabet_size: int) -> list[tuple[int
     return results
 
 
-class _ExactAdmissibility:
-    """Admissibility bounds taken from an exactly known expansion of 1."""
-
-    def __init__(self, d1: EventuallyPeriodicWord):
-        self.d1 = d1
-        self.lower = lower_bound_word(d1)
-
-    def d1_digit(self, i: int) -> int:
-        return self.d1.digit(i)
-
-    def lower_digit(self, i: int) -> int:
-        return self.lower.digit(i)
-
-    def contains(self, w: EventuallyPeriodicWord) -> bool:
-        return shift_membership(w, self.d1)
-
-
-class _StreamAdmissibility:
-    """Admissibility bounds from a lazily computed expansion of 1."""
-
-    def __init__(self, oracle: MembershipOracle):
-        self.oracle = oracle
-
-    def d1_digit(self, i: int) -> int:
-        if self.oracle.word is not None:
-            return self.oracle.word.digit(i)
-        return self.oracle.stream.digit(i)
-
-    def lower_digit(self, i: int) -> int:
-        if self.oracle.word is not None:
-            return lower_bound_word(self.oracle.word).digit(i)
-        return 0 if i == 1 else self.oracle.stream.digit(i - 1)
-
-    def contains(self, w: EventuallyPeriodicWord) -> bool:
-        return self.oracle.contains(w)
-
-
-def admissibility_for(beta) -> object:
-    """Best available admissibility tester for a base: exact when the
-    expansion of 1 is certified periodic, lazy digits otherwise."""
-    oracle = MembershipOracle(beta)
-    if oracle.word is not None:
-        return _ExactAdmissibility(oracle.word)
-    return _StreamAdmissibility(oracle)
-
-
 def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
-                      admissibility=None, stop_at_first: bool = True,
+                      admissibility: MembershipOracle | None = None,
+                      stop_at_first: bool = True,
                       ) -> list[EventuallyPeriodicWord]:
     """All (or the first) eventually periodic words within bounds realizing
     pi, optionally restricted to words admissible for a given base.
@@ -544,13 +477,14 @@ def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
     preperiod and period is checked exactly before being reported.
     """
     n = pi.n
-    lm = landmarks(pi)
+    sk = skeleton(pi)
+    lm = sk.landmarks
     found: list[EventuallyPeriodicWord] = []
     seen: set[tuple] = set()
     tail_pre_max = max(0, bounds.max_prefix - (n - 1))
     depth_max = tail_pre_max + bounds.max_period
 
-    for prefix in _condition_i_prefixes(pi, alphabet_size):
+    for prefix in _condition_i_prefixes(sk, alphabet_size):
         upper = periodization(prefix[lm.r - 1:]) if pi(n) != n else None
         lower = periodization(prefix[lm.ell - 1:]) if pi(n) != 1 else None
         if upper is not None and lower is not None and not lower < upper:
@@ -637,7 +571,7 @@ def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
     return found
 
 
-def _advance_ties(adm, tied_d1: tuple[int, ...], tied_low: tuple[int, ...],
+def _advance_ties(adm: MembershipOracle, tied_d1: tuple[int, ...], tied_low: tuple[int, ...],
                   pos: int, d: int):
     """Advance per-suffix comparison states by one appended digit.
 
@@ -710,25 +644,30 @@ def witness_word(pi, beta_margin=Fraction(1, 20),
     margin = Fraction(beta_margin)
     if margin <= 0:
         raise NegBetaError("margin must be positive")
-    report = analyze(pi)
+    return _witness_above(analyze(pi), margin, bounds)
+
+
+def _witness_above(report: AnalysisReport, margin: Fraction,
+                   bounds: SearchBounds | None) -> EventuallyPeriodicWord:
+    pi = report.pi
     beta = _beta_plus(report.b_minus, margin)
-    adm = admissibility_for(beta)
+    oracle = MembershipOracle(beta)
     n = pi.n
-    for cand in _seeded_witnesses(pi, report):
+    for cand in _seeded_witnesses(report):
         try:
-            if pat_of_word(cand, n) == pi and adm.contains(cand):
+            if pat_of_word(cand, n) == pi and oracle.contains(cand):
                 return cand
         except PatternUndefinedError:
             continue
     bounds = bounds or SearchBounds.default(n)
     hits = _search_realizing(pi, beta.floor() + 1, bounds,
-                             admissibility=adm, stop_at_first=True)
+                             admissibility=oracle, stop_at_first=True)
     if hits:
         return hits[0]
     raise SearchInconclusiveError(f"no admissible witness found for {pi} within bounds")
 
 
-def _seeded_witnesses(pi: Permutation, report: AnalysisReport):
+def _seeded_witnesses(report: AnalysisReport):
     """Candidate witnesses in the shape of the worked constructions: the
     skeleton prefix, the threshold word's period repeated, then a companion
     tail."""
@@ -795,9 +734,8 @@ def realizable_at(pi, beta, bounds: SearchBounds | None = None,
     pi = perm(pi)
     beta = BetaValue.of(beta)
     bounds = bounds or SearchBounds.default(pi.n)
-    adm = admissibility_for(beta)
     hits = _search_realizing(pi, beta.floor() + 1, bounds,
-                             admissibility=adm, stop_at_first=True)
+                             admissibility=MembershipOracle(beta), stop_at_first=True)
     return hits[0] if hits else None
 
 
@@ -810,10 +748,12 @@ def sandwich_check(pi, margin=Fraction(1, 20),
     report = analyze(pi)
     if report.b_minus == 1:
         raise NegBetaError("sandwich check applies to thresholds above 1")
+    if margin <= 0:
+        raise NegBetaError("margin must be positive")
     b = report.b_minus
     witness = None
     try:
-        witness = witness_word(pi, margin, bounds)
+        witness = _witness_above(report, margin, bounds)
     except SearchInconclusiveError:
         pass
     below = None

@@ -478,6 +478,18 @@ class MembershipOracle:
         else:
             self.period_budget = period_budget
             self.word = self.stream.detect_period(period_budget)
+        self.lower = lower_bound_word(self.word) if self.word is not None else None
+
+    def d1_digit(self, i: int) -> int:
+        """i-th digit of the expansion of 1, 1-based."""
+        return self.stream.digit(i)
+
+    def lower_digit(self, i: int) -> int:
+        """i-th digit of the shift's lower bound: the certified lower-bound
+        word when a period is known, else 0 followed by the expansion of 1."""
+        if self.lower is not None:
+            return self.lower.digit(i)
+        return 0 if i == 1 else self.stream.digit(i - 1)
 
     def _compare_tail_with_d1(self, t: EventuallyPeriodicWord) -> int:
         for k in range(1, self.compare_cap + 1):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from . import words
 from .errors import (
     MalformedPermutationError,
     UndefinedLandmarksError,
@@ -129,65 +129,118 @@ def circular(pi: Permutation) -> Permutation:
     >>> str(circular(parse_permutation("3421")))
     '3142'
     """
-    return Permutation(_circular_image(pi))
-
-
-def _circular_image(pi: Permutation) -> tuple[int, ...]:
     img = [0] * pi.n
     for v, w in zip(pi.image, pi.image[1:] + pi.image[:1]):
         img[v - 1] = w
-    return tuple(img)
+    return Permutation(tuple(img))
+
+
+def _scan(image: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """One pass over a one-line image for its inverse (inv[v] is the
+    position of v, index 0 unused) and circular companion (succ), then one
+    over values for the mark counts (marks[k] counts marked values in 1..k).
+
+    Value i is marked when the circular companion ascends at i, read with the
+    entry at value pi(n) deleted: pi(n) itself is never marked, and pi(n)-1
+    compares with pi(n)+1 when that exists.
+    """
+    n = len(image)
+    inv = [0] * (n + 1)
+    succ = [0] * (n + 1)
+    last = prev = image[-1]
+    for j, v in enumerate(image, start=1):
+        inv[v] = j
+        succ[prev] = v
+        prev = v
+    marks = [0] * n
+    count = 0
+    for i in range(1, n):
+        if i != last:
+            k = i + 2 if i + 1 == last else i + 1
+            if k <= n:
+                count += succ[i] < succ[k]
+        marks[i] = count
+    return inv, marks
+
+
+@dataclass(frozen=True)
+class Skeleton:
+    """The digit skeleton of pi, built once by ``skeleton``: landmarks, the
+    digits z, the mark count max z, the collapse test and the collapsed
+    variants.  The threshold word, epsilon and the minimal alphabet size are
+    read from it, each computed at most once."""
+
+    pi: Permutation
+    landmarks: Landmarks
+    z: DigitVector
+    marks: int
+    collapsed: bool
+    variants: tuple[DigitVector, ...]
+
+    @cached_property
+    def a(self) -> EventuallyPeriodicWord:
+        """The threshold word.  Five cases split on the parity of n-m, on
+        pi(n) = 1, and on collapse; the collapsed cases minimize over the
+        variant digit vectors in alternating lexicographical order."""
+        n, lm = self.pi.n, self.landmarks
+        m = lm.m
+        even = (n - m) % 2 == 0
+        if even and self.pi(n) == 1:
+            return canonicalize((), self.z.digits[m - 1:] + (0,))
+        tail = lm.ell if even else lm.r
+        vectors = self.variants if self.collapsed else (self.z,)
+        return min(canonicalize(v.digits[m - 1:], v.digits[tail - 1:]) for v in vectors)
+
+    @cached_property
+    def epsilon(self) -> int:
+        """1 when pi is collapsed or the threshold word is the periodization
+        of (max z, 0), else 0."""
+        if self.collapsed:
+            return 1
+        return 1 if self.a == canonicalize((), (self.marks, 0)) else 0
+
+    @property
+    def n_minus(self) -> int:
+        """Minimal number of distinct values of a realizing sequence."""
+        return self.marks + 1 + self.epsilon
+
+
+def skeleton(pi: Permutation) -> Skeleton:
+    """The digit skeleton of pi (n >= 2).
+
+    z_j counts the marked values below pi(j).  pi is collapsed when pi(n) is
+    interior and the two landmark suffixes of z share a periodization (one
+    suffix is the square of the other); variant i of z^(0) .. z^(|r-ell|-1)
+    then raises z_j by one when pi(j) clears the threshold pi(r+i) (even i)
+    or pi(ell+i) (odd i).
+    """
+    n = pi.n
+    if n < 2:
+        raise UndefinedLandmarksError("landmarks need n >= 2")
+    image = pi.image
+    inv, marks = _scan(image)
+    last = image[-1]
+    lm = Landmarks(m=inv[n], ell=inv[last - 1] if last != 1 else None,
+                   r=inv[last + 1] if last != n else None)
+    z = tuple(marks[v - 1] for v in image[:-1])
+    collapsed = False
+    variants: tuple[DigitVector, ...] = ()
+    if lm.ell is not None and lm.r is not None:
+        zl, zr = z[lm.ell - 1:], z[lm.r - 1:]
+        collapsed = zl == zr + zr or zr == zl + zl
+    if collapsed:
+        thresholds = [image[lm.r + i - 1] if i % 2 == 0 else image[lm.ell + i - 1]
+                      for i in range(abs(lm.r - lm.ell))]
+        variants = tuple(
+            DigitVector(tuple(d + 1 if v >= t else d for v, d in zip(image, z)), i)
+            for i, t in enumerate(thresholds))
+    return Skeleton(pi=pi, landmarks=lm, z=DigitVector(z), marks=marks[n - 1],
+                    collapsed=collapsed, variants=variants)
 
 
 def landmarks(pi: Permutation) -> Landmarks:
     """m = position of n; ell/r = positions of pi(n)-1 / pi(n)+1 when defined."""
-    if pi.n < 2:
-        raise UndefinedLandmarksError("landmarks need n >= 2")
-    inv = pi.inverse()
-    last = pi(pi.n)
-    m = inv[pi.n - 1]
-    ell = inv[last - 2] if last != 1 else None
-    r = inv[last] if last != pi.n else None
-    return Landmarks(m=m, ell=ell, r=r)
-
-
-def _marked_values(pi: Permutation) -> list[bool]:
-    """marked[i] for values i in 1..n-1 (index i-1): does the count rule fire?
-
-    Equivalent to counting ascents of the circular companion written as a
-    word with the entry at value pi(n) deleted.
-    """
-    n = pi.n
-    tilde = _circular_image(pi)
-    last = pi(n)
-    marked = [False] * (n - 1)
-    for i in range(1, n):
-        if i != last and i + 1 != last:
-            marked[i - 1] = tilde[i - 1] < tilde[i]
-        elif i + 1 == last and last != n:
-            marked[i - 1] = tilde[i - 1] < tilde[i + 1]
-    return marked
-
-
-def _z_direct(pi: Permutation) -> tuple[int, ...]:
-    # Definition written with pi itself instead of the circular companion;
-    # kept as a cross-check of the trickiest definition in the package.
-    n = pi.n
-    inv = pi.inverse()
-    last = pi(n)
-    lm = landmarks(pi)
-    out = []
-    for j in range(1, n):
-        count = 0
-        for i in range(1, pi(j)):
-            if i != last and i + 1 != last:
-                if pi(inv[i - 1] + 1) < pi(inv[i] + 1):
-                    count += 1
-            elif i + 1 == last and last != n:
-                if pi(lm.ell + 1) < pi(lm.r + 1):
-                    count += 1
-        out.append(count)
-    return tuple(out)
+    return skeleton(pi).landmarks
 
 
 def z_digits(pi: Permutation) -> DigitVector:
@@ -196,92 +249,39 @@ def z_digits(pi: Permutation) -> DigitVector:
     >>> str(z_digits(parse_permutation("892364157")))
     '33012102'
     """
-    if pi.n < 2:
-        raise UndefinedLandmarksError("z digits need n >= 2")
-    marked = _marked_values(pi)
-    prefix = [0]
-    for flag in marked:
-        prefix.append(prefix[-1] + (1 if flag else 0))
-    digits = tuple(prefix[pi(j) - 1] for j in range(1, pi.n))
-    assert digits == _z_direct(pi), "circular-form and direct-form digits disagree"
-    return DigitVector(digits)
+    return skeleton(pi).z
 
 
 def max_z(pi: Permutation) -> int:
-    return sum(1 for f in _marked_values(pi) if f)
+    return mark_count(pi.image)
+
+
+def mark_count(image: tuple[int, ...]) -> int:
+    """max z read from a one-line image, without validating it or building
+    the skeleton."""
+    return _scan(image)[1][-1]
 
 
 def is_collapsed(pi: Permutation) -> bool:
     """pi(n) interior and the two landmark suffixes of z share a periodization
     (one suffix is the square of the other)."""
-    if pi.n < 2:
-        return False
-    lm = landmarks(pi)
-    return lm.ell is not None and lm.r is not None and _collapsed(lm, z_digits(pi).digits)
-
-
-def _collapsed(lm: Landmarks, z: tuple[int, ...]) -> bool:
-    if lm.ell is None or lm.r is None:
-        return False
-    zl = z[lm.ell - 1:]
-    zr = z[lm.r - 1:]
-    return zl == zr + zr or zr == zl + zl
+    return pi.n >= 2 and skeleton(pi).collapsed
 
 
 def z_variants(pi: Permutation) -> list[DigitVector]:
-    """The collapsed variants z^(0) .. z^(|r-ell|-1).
-
-    Variant i raises z_j by one when pi(j) clears the threshold pi(r+i)
-    (even i) or pi(ell+i) (odd i).
-    """
-    if not is_collapsed(pi):
+    """The collapsed variants z^(0) .. z^(|r-ell|-1)."""
+    if pi.n < 2 or not (sk := skeleton(pi)).collapsed:
         raise VariantUndefinedError(f"{pi} is not collapsed")
-    return _variants(pi, landmarks(pi), z_digits(pi).digits)
-
-
-def _variants(pi: Permutation, lm: Landmarks, z: tuple[int, ...]) -> list[DigitVector]:
-    out = []
-    for i in range(abs(lm.r - lm.ell)):
-        threshold = pi(lm.r + i) if i % 2 == 0 else pi(lm.ell + i)
-        digits = tuple(d + 1 if pi(j) >= threshold else d for j, d in enumerate(z, start=1))
-        out.append(DigitVector(digits, variant_index=i))
-    return out
+    return list(sk.variants)
 
 
 def a_sequence(pi: Permutation) -> EventuallyPeriodicWord:
     """The threshold word: its base b(a) is the infimum of bases whose
     negative-base shift realizes pi.
 
-    Five cases split on the parity of n-m, on pi(n) = 1, and on collapse; the
-    collapsed cases minimize over the variant digit vectors in alternating
-    lexicographical order.
-
     >>> str(a_sequence(parse_permutation("3421")))
     '(100)'
     >>> str(a_sequence(parse_permutation("7325416")))
     '211(210)'
     """
-    if pi.n < 2:
-        raise UndefinedLandmarksError("the threshold word needs n >= 2")
-    lm = landmarks(pi)
-    n, m = pi.n, lm.m
-    z = z_digits(pi)
-    collapsed = _collapsed(lm, z.digits)
-
-    def assemble(vec: DigitVector, tail_start: int) -> EventuallyPeriodicWord:
-        return canonicalize(vec.digits[m - 1:], vec.digits[tail_start - 1:])
-
-    if (n - m) % 2 == 0:
-        if pi(n) == 1:
-            a = canonicalize((), z.digits[m - 1:] + (0,))
-        elif not collapsed:
-            a = assemble(z, lm.ell)
-        else:
-            a = min((assemble(v, lm.ell) for v in _variants(pi, lm, z.digits)))
-    else:
-        if not collapsed:
-            a = assemble(z, lm.r)
-        else:
-            a = min((assemble(v, lm.r) for v in _variants(pi, lm, z.digits)))
-    assert words.sup_of_shifts(a) == a, "threshold word must be fixed under sup of shifts"
-    return a
+    return skeleton(pi).a

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negbeta import algebraic, analysis
+from negbeta import algebraic, analysis, permutations
 from negbeta.algebraic import (
     IntPolynomial,
     _poly_gcd,
@@ -42,10 +43,11 @@ from negbeta.permutations import (
     Permutation,
     a_sequence,
     all_permutations,
+    max_z,
     parse_permutation,
     z_digits,
 )
-from negbeta.words import canonicalize, word
+from negbeta.words import canonicalize, word, words_over
 
 
 # --- patterns -----------------------------------------------------------------
@@ -85,10 +87,19 @@ def test_pat_of_orbit_matches_pat_of_expansion():
         assert str(orbit_pat) == str(pat_of_word(canonicalize(digits[:25], digits[25:30]), 4))
 
 
+def _realizes_directly(w, pi) -> bool:
+    """Reference for prop1_check: the ordinal pattern of w's first n tails."""
+    try:
+        return pat_of_word(w, pi.n) == pi
+    except PatternUndefinedError:
+        return False
+
+
 def test_prop1_examples():
-    assert prop1_check(word("1(100)"), parse_permutation("3421"))
-    assert not prop1_check(word("(0)"), parse_permutation("21"))
-    assert prop1_check(word("00(10011)"), parse_permutation("3142"))
+    for w, pi, expected in [("1(100)", "3421", True), ("(0)", "21", False),
+                            ("00(10011)", "3142", True)]:
+        w, pi = word(w), parse_permutation(pi)
+        assert prop1_check(w, pi) == _realizes_directly(w, pi) == expected
 
 
 @given(st.permutations(list(range(1, 5))),
@@ -98,11 +109,15 @@ def test_prop1_examples():
 def test_prop1_agrees_with_direct_pattern(image, pre, per):
     pi = Permutation(tuple(image))
     w = canonicalize(pre, per)
-    try:
-        direct = pat_of_word(w, pi.n) == pi
-    except PatternUndefinedError:
-        direct = False
-    assert prop1_check(w, pi) == direct
+    assert prop1_check(w, pi) == _realizes_directly(w, pi), (w, pi)
+
+
+def test_prop1_agrees_with_direct_pattern_exhaustive():
+    ws = list(words_over(3, 2, 3))
+    for n in range(2, 5):
+        for pi in all_permutations(n):
+            for w in ws:
+                assert prop1_check(w, pi) == _realizes_directly(w, pi), (w, pi)
 
 
 def test_digit_gap_propagates_along_tails():
@@ -168,6 +183,18 @@ def test_analyze_exact_two():
     r = analyze("453261")
     assert r.b_minus.is_rational() and r.b_minus.exact == 2
     assert r.n_minus == 3
+
+
+def test_analyze_alphabet_mismatch_is_a_typed_error(monkeypatch):
+    real = permutations.skeleton
+
+    def skewed(pi):
+        sk = real(pi)
+        return dataclasses.replace(sk, marks=sk.marks + 1)
+
+    monkeypatch.setattr(analysis, "skeleton", skewed)
+    with pytest.raises(InvariantError):
+        analyze("4321")
 
 
 def test_analyze_rejects_singleton():
@@ -344,6 +371,39 @@ def test_extremal_n5_attained_by_odd_family():
     assert sorted(str(p) for p in rep.n_minus_max_set) == ["12345", "12354", "54312", "54321"]
 
 
+def test_extremal_base_out_of_range_is_a_typed_error(monkeypatch):
+    # the length-4 extremal word has its base in (2, 3), not in (4, 5)
+    monkeypatch.setattr(analysis, "extremal_word", lambda n: word("21(0)"))
+    with pytest.raises(InvariantError):
+        extremal_report(6)
+
+
+def test_one_skeleton_per_permutation(monkeypatch):
+    calls = []
+    real = permutations.skeleton
+
+    def counted(pi):
+        calls.append(pi)
+        return real(pi)
+
+    survivors = sum(1 for n in range(2, 7) for pi in all_permutations(n) if max_z(pi) < 2)
+    monkeypatch.setattr(permutations, "skeleton", counted)
+    monkeypatch.setattr(analysis, "skeleton", counted)
+    for text in ["3421", "892364157", "7325416", "1423", "4321"]:
+        calls.clear()
+        analyze(text)
+        assert len(calls) == 1, text
+    calls.clear()
+    extremal_report(6)
+    assert len(calls) == 720
+    calls.clear()
+    spectrum(5)
+    assert len(calls) == 120
+    calls.clear()
+    count_b1(6)
+    assert len(calls) == survivors
+
+
 def test_max_families_shapes():
     fams = [str(p) for p in max_families(6)]
     assert fams == ["123456", "123465", "654321", "654312"]
@@ -392,8 +452,12 @@ def test_realizable_at_controls():
     assert realizable_at("1234", 2) is None
 
 
-def test_sandwich_representative():
+def test_sandwich_representative(monkeypatch):
+    calls = []
+    real = analysis.analyze
+    monkeypatch.setattr(analysis, "analyze", lambda pi: calls.append(pi) or real(pi))
     rep = sandwich_check("1423")
+    assert len(calls) == 1  # the witness search reuses the sandwich's report
     assert rep.passed
     assert rep.witness_above is not None
     assert rep.found_below is None and rep.found_at is None

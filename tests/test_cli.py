@@ -13,17 +13,17 @@ from negbeta.errors import MalformedBaseError, NegBetaError
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-def invoke(argv, env=None):
+def invoke(argv, env=None, flags=()):
     proc = subprocess.run(
-        [sys.executable, "-m", "negbeta.cli", *argv],
+        [sys.executable, *flags, "-m", "negbeta.cli", *argv],
         capture_output=True, text=True,
         env={**os.environ, **(env or {})},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def envelope(argv, env=None):
-    code, out, err = invoke([*argv, "--format", "json"], env=env)
+def envelope(argv, env=None, flags=()):
+    code, out, err = invoke([*argv, "--format", "json"], env=env, flags=flags)
     assert code == 0, err
     return json.loads(out)
 
@@ -182,7 +182,20 @@ def test_malformed_base_exit_code(beta):
     (["verify", "14523"], "verify_14523.json"),
     (["spectrum", "6"], "spectrum_6.json"),
     (["extremal", "7"], "extremal_7.json"),
+    (["count-b1", "8"], "count_b1_8.json"),
+    (["analyze", "3421"], "analyze_3421.json"),
+    (["analyze", "892364157"], "analyze_892364157.json"),
+    (["analyze", "7325416"], "analyze_7325416.json"),
+    (["analyze", "1423"], "analyze_1423.json"),
+    (["analyze", "312"], "analyze_312.json"),
+    (["analyze", "14,3,12,1,9,6,13,2,8,11,4,10,7,5"], "analyze_n14.json"),
 ])
 def test_output_matches_golden_envelope(argv, golden):
     expected = json.loads((DATA / golden).read_text())
     assert strip_timing(envelope(argv)) == expected
+
+
+@pytest.mark.parametrize("argv", [["analyze", "7325416"], ["extremal", "6"], ["verify", "4321"]])
+def test_optimized_interpreter_gives_the_same_envelope(argv):
+    # python -O strips assert statements; no check may depend on them
+    assert strip_timing(envelope(argv, flags=["-O"])) == strip_timing(envelope(argv))

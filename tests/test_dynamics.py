@@ -123,6 +123,20 @@ def test_membership_examples():
     assert oracle.contains(word("110010(2)"))
 
 
+def test_membership_oracle_digit_bounds():
+    # certified purely periodic expansion of odd period: the lower bound is
+    # the decremented form (01), not 0 followed by the expansion, 0(2)
+    oracle = MembershipOracle(2)
+    assert oracle.word == word("(2)")
+    assert [oracle.d1_digit(i) for i in range(1, 6)] == [2, 2, 2, 2, 2]
+    assert [oracle.lower_digit(i) for i in range(1, 6)] == [0, 1, 0, 1, 0]
+    # no period certified: the lower bound is read as 0 followed by d1
+    oracle = MembershipOracle(Fraction(21, 10))
+    assert oracle.word is None
+    d1 = [oracle.d1_digit(i) for i in range(1, 8)]
+    assert [oracle.lower_digit(i) for i in range(1, 9)] == [0] + d1
+
+
 def test_membership_monotone_across_the_base():
     w = word("110010(2)")
     b = b_of(sup_of_shifts(w))

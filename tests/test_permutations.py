@@ -1,6 +1,6 @@
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from negbeta.errors import (
     MalformedPermutationError,
@@ -16,6 +16,7 @@ from negbeta.permutations import (
     landmarks,
     max_z,
     parse_permutation,
+    skeleton,
     z_digits,
     z_variants,
 )
@@ -23,6 +24,30 @@ from negbeta.words import alt_lex_compare, periodization, sup_of_shifts, word
 
 perms_up_to_6 = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(Permutation)
+perms_up_to_14 = st.integers(2, 14).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))).map(Permutation)
+
+
+def z_direct(pi: Permutation) -> tuple[int, ...]:
+    """Reference for z: the definition written with pi itself instead of the
+    circular companion (value i counts when the successor of i sits below
+    the successor of i+1, skipping over the value pi(n))."""
+    n = pi.n
+    inv = pi.inverse()
+    last = pi(n)
+    out = []
+    for j in range(1, n):
+        count = 0
+        for i in range(1, pi(j)):
+            if i != last and i + 1 != last:
+                if pi(inv[i - 1] + 1) < pi(inv[i] + 1):
+                    count += 1
+            elif i + 1 == last and last != n:
+                ell, r = inv[last - 2], inv[last]
+                if pi(ell + 1) < pi(r + 1):
+                    count += 1
+        out.append(count)
+    return tuple(out)
 
 
 # --- parsing -------------------------------------------------------------------
@@ -97,6 +122,23 @@ def test_z_examples():
     for n in range(2, 9):
         ident = Permutation(tuple(range(1, n + 1)))
         assert z_digits(ident).digits == tuple(range(n - 1))
+
+
+def test_z_matches_direct_definition_exhaustive():
+    for n in range(2, 9):
+        for pi in all_permutations(n):
+            assert z_digits(pi).digits == z_direct(pi), pi
+
+
+@given(perms_up_to_14)
+@settings(max_examples=300)
+def test_skeleton_matches_references_up_to_14(pi):
+    sk = skeleton(pi)
+    assert sk.z.digits == z_direct(pi)
+    tilde = circular(pi).image
+    cut = [v for idx, v in enumerate(tilde, start=1) if idx != pi(pi.n)]
+    assert sk.marks == sum(1 for x, y in zip(cut, cut[1:]) if x < y)
+    assert sup_of_shifts(sk.a) == sk.a
 
 
 def test_max_z_equals_ascents_of_cut_companion():
@@ -190,9 +232,10 @@ def test_a_sequence_length_two():
 
 
 def test_a_sequence_sup_fixed_exhaustive():
-    for pi in all_permutations(5):
-        a = a_sequence(pi)
-        assert sup_of_shifts(a) == a
+    for n in range(2, 8):
+        for pi in all_permutations(n):
+            a = a_sequence(pi)
+            assert sup_of_shifts(a) == a, pi
 
 
 def test_assembly_identities():
