@@ -330,16 +330,18 @@ class AlgebraicNumber:
     def refine(self, tol: Fraction | float = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
         if self.exact is not None:
             return (self.exact, self.exact)
-        tol = Fraction(tol)
+        if not isinstance(tol, Fraction):
+            tol = Fraction(tol)
+        lo, hi = self.interval
+        ld, hd = lo.denominator, hi.denominator
+        if (hi.numerator * ld - lo.numerator * hd) * tol.denominator <= tol.numerator * ld * hd:
+            return self.interval
         # Bisect integer numerators L, H over the shared denominator den;
         # halving doubles den, so the midpoints are the same rationals.
-        (L, H), den = _over_common_denominator(self.interval)
-        start = den
+        (L, H), den = _over_common_denominator((lo, hi))
         sf = self._sf
-        s_lo = None
+        s_lo = _sign_hom(sf, L, den)
         while (H - L) * tol.denominator > tol.numerator * den:
-            if s_lo is None:
-                s_lo = _sign_hom(sf, L, den)
             mid, den = L + H, 2 * den
             L, H = 2 * L, 2 * H
             s_mid = _sign_hom(sf, mid, den)
@@ -353,8 +355,7 @@ class AlgebraicNumber:
                 L = mid
             else:
                 H = mid
-        if den != start:
-            self.interval = (Fraction(L, den), Fraction(H, den))
+        self.interval = (Fraction(L, den), Fraction(H, den))
         return self.interval
 
     def floor(self) -> int:

@@ -24,8 +24,10 @@ from .algebraic import (
     char_polynomial,
 )
 from .dynamics import (
+    DEFAULT_PRECISION,
     BetaValue,
     MembershipOracle,
+    PrecisionConfig,
     expansion_of_one,
     orbit_points,
 )
@@ -644,16 +646,17 @@ def witness_word(pi, beta_margin=Fraction(1, 20),
     margin = Fraction(beta_margin)
     if margin <= 0:
         raise NegBetaError("margin must be positive")
-    return _witness_above(analyze(pi), margin, bounds)
+    return _witness_above(analyze(pi), margin, bounds, DEFAULT_PRECISION)
 
 
 def _witness_above(report: AnalysisReport, margin: Fraction,
-                   bounds: SearchBounds | None) -> EventuallyPeriodicWord:
+                   bounds: SearchBounds | None,
+                   precision: PrecisionConfig) -> EventuallyPeriodicWord:
     pi = report.pi
     beta = _beta_plus(report.b_minus, margin)
-    oracle = MembershipOracle(beta)
+    oracle = MembershipOracle(beta, precision)
     n = pi.n
-    for cand in _seeded_witnesses(report):
+    for cand in _seeded_witnesses(report, precision):
         try:
             if pat_of_word(cand, n) == pi and oracle.contains(cand):
                 return cand
@@ -667,7 +670,7 @@ def _witness_above(report: AnalysisReport, margin: Fraction,
     raise SearchInconclusiveError(f"no admissible witness found for {pi} within bounds")
 
 
-def _seeded_witnesses(report: AnalysisReport):
+def _seeded_witnesses(report: AnalysisReport, precision: PrecisionConfig):
     """Candidate witnesses in the shape of the worked constructions: the
     skeleton prefix, the threshold word's period repeated, then a companion
     tail."""
@@ -688,7 +691,7 @@ def _seeded_witnesses(report: AnalysisReport):
     if report.b_minus != 1:
         d1 = expansion_of_one(BetaValue.from_algebraic(report.b_minus)
                               if isinstance(report.b_minus, AlgebraicNumber)
-                              else report.b_minus).word
+                              else report.b_minus, precision=precision).word
         if d1 is not None:
             tails.append(d1)
     for zpfx in variant_prefixes:
@@ -728,6 +731,7 @@ class SandwichReport:
 
 
 def realizable_at(pi, beta, bounds: SearchBounds | None = None,
+                  precision: PrecisionConfig = DEFAULT_PRECISION,
                   ) -> EventuallyPeriodicWord | None:
     """Bounded exhaustive search for an admissible realizing word at a fixed
     base; returns the witness or None when the bounded class is empty."""
@@ -735,12 +739,14 @@ def realizable_at(pi, beta, bounds: SearchBounds | None = None,
     beta = BetaValue.of(beta)
     bounds = bounds or SearchBounds.default(pi.n)
     hits = _search_realizing(pi, beta.floor() + 1, bounds,
-                             admissibility=MembershipOracle(beta), stop_at_first=True)
+                             admissibility=MembershipOracle(beta, precision),
+                             stop_at_first=True)
     return hits[0] if hits else None
 
 
 def sandwich_check(pi, margin=Fraction(1, 20),
-                   bounds: SearchBounds | None = None) -> SandwichReport:
+                   bounds: SearchBounds | None = None,
+                   precision: PrecisionConfig = DEFAULT_PRECISION) -> SandwichReport:
     """Realizable just above the threshold, not realizable just below nor at
     the threshold itself (within the searched class)."""
     pi = perm(pi)
@@ -753,7 +759,7 @@ def sandwich_check(pi, margin=Fraction(1, 20),
     b = report.b_minus
     witness = None
     try:
-        witness = _witness_above(report, margin, bounds)
+        witness = _witness_above(report, margin, bounds, precision)
     except SearchInconclusiveError:
         pass
     below = None
@@ -768,9 +774,9 @@ def sandwich_check(pi, margin=Fraction(1, 20),
         else:
             beta_below = None
     if beta_below is not None:
-        below = realizable_at(pi, beta_below, bounds)
+        below = realizable_at(pi, beta_below, bounds, precision)
     at = realizable_at(pi, BetaValue.from_rational(b.exact) if b.is_rational()
-                       else BetaValue.from_algebraic(b), bounds)
+                       else BetaValue.from_algebraic(b), bounds, precision)
     return SandwichReport(
         pi=pi, b_decimal=report.b_decimal(6), margin=margin,
         witness_above=witness, found_below=below, found_at=at,

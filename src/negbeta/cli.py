@@ -186,7 +186,7 @@ def _cmd_realize(args, precision) -> Rendered:
 def _cmd_verify(args, precision) -> Rendered:
     pi = parse_permutation(args.perm)
     margin = Fraction(args.margin).limit_denominator(10**9)
-    report = analysis.sandwich_check(pi, margin)
+    report = analysis.sandwich_check(pi, margin, precision=precision)
     text = (f"pi = {pi}\nB- = {report.b_decimal}\n"
             f"witness above = {report.witness_above}\n"
             f"found below   = {report.found_below}\n"

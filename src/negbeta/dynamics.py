@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd
 
 from . import words
 from .algebraic import (
@@ -26,6 +27,7 @@ from .algebraic import (
     count_real_roots,
 )
 from .errors import (
+    InvariantError,
     NegBetaError,
     SupNotFixedError,
     UndecidableAtPrecisionError,
@@ -51,6 +53,7 @@ class PrecisionConfig:
 
 
 DEFAULT_PRECISION = PrecisionConfig()
+_TOL_64 = Fraction(1, 2**64)
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,9 @@ class _RationalArith:
     def __init__(self, beta: Fraction):
         self.beta = beta
 
+    def serves(self, beta: BetaValue) -> bool:
+        return beta.rational == self.beta
+
     def one(self):
         return Fraction(1)
 
@@ -142,60 +148,83 @@ class _RationalArith:
 class _AlgebraicArith:
     """Exact orbit arithmetic in Q(beta) for an algebraic base.
 
-    Points are coefficient tuples of polynomials in beta of degree below the
-    squarefree defining polynomial; values (not representations) are compared,
-    so a reducible defining polynomial cannot corrupt equality decisions.
+    A point is a pair (nums, den): the integer numerators of the coefficients
+    of a polynomial in beta of degree below the squarefree defining
+    polynomial, over one shared positive denominator.  Values (not
+    representations) are compared, so a reducible defining polynomial cannot
+    corrupt equality decisions.
     """
 
     def __init__(self, num: AlgebraicNumber, precision: PrecisionConfig = DEFAULT_PRECISION):
         self.num = num
         self.sf = num._sf
         self.deg = len(self.sf) - 1
-        self.precision = precision
+        self._tolerances = tuple(precision.tolerances())
+        # the interval of num last seen by _bounds, and its integer form (L, H, q)
+        self._interval = None
+        self._ints = None
+
+    def serves(self, beta: BetaValue) -> bool:
+        # the enclosures depend on the interval state of num, so identity
+        return beta.algebraic is self.num
 
     def one(self):
-        return (Fraction(1),)
+        return ((1,), 1)
 
     def from_rational(self, x: Fraction):
-        return (Fraction(x),)
+        x = Fraction(x)
+        return ((x.numerator,), x.denominator)
 
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        lead = Fraction(self.sf[-1])
-        while len(coeffs) > self.deg:
-            c = coeffs.pop()
-            if c:
-                k = len(coeffs) - self.deg
-                for i, s in enumerate(self.sf[:-1]):
-                    coeffs[k + i] -= c * s / lead
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
+    def _mul_beta(self, x):
+        """beta * x, reduced modulo the defining polynomial.
 
-    def _mul_beta(self, x) -> tuple[Fraction, ...]:
-        return self._reduce([Fraction(0), *x])
+        With a monic polynomial the denominator is kept and no gcd is taken.
+        Otherwise the reduction divides by the (positive) leading coefficient,
+        so the point is scaled by it and put back in lowest terms.
+        """
+        nums, den = x
+        if len(nums) < self.deg:
+            return (0, *nums), den
+        c, lead = nums[-1], self.sf[-1]
+        if lead == 1:
+            out = [a - c * s for a, s in zip((0, *nums[:-1]), self.sf)]
+        else:
+            out = [lead * a - c * s for a, s in zip((0, *nums[:-1]), self.sf)]
+            den *= lead
+        while out and out[-1] == 0:
+            out.pop()
+        if lead != 1:
+            g = gcd(den, *out)
+            if g > 1:
+                out = [a // g for a in out]
+                den //= g
+        return tuple(out), den
 
-    def is_zero(self, x) -> bool:
-        if not x:
-            return True
-        # An enclosure of the value that excludes 0 proves x nonzero.
-        lo, hi = self.enclosure(x, Fraction(1, 2**64))
-        if lo > 0 or hi < 0:
-            return False
-        ints = _strip(_over_common_denominator(x)[0])
-        if not ints:
-            return True
-        g = _poly_gcd(self.sf, ints)
-        if len(g) <= 1:
-            return False
-        lo, hi = self.num.refine(Fraction(1, 2**24))
-        return count_real_roots(g, lo, hi) > 0 or _sign_at(g, lo) == 0
+    @staticmethod
+    def _minus_int(x, k: int):
+        nums, den = x
+        return ((nums[0] if nums else 0) - k * den, *nums[1:]), den
 
-    def enclosure(self, x, tol: Fraction) -> tuple[Fraction, Fraction]:
-        lo, hi = self.num.refine(tol)
-        # Termwise min/max of c_i lo^i, c_i hi^i as integers over the common
-        # denominator cden * q^m of x = (sum n_i beta^i) / cden, lo = L/q, hi = H/q.
-        nums, cden = _over_common_denominator(x)
-        (L, H), q = _over_common_denominator((lo, hi))
+    @staticmethod
+    def _sub(x, y):
+        (xn, xd), (yn, yd) = x, y
+        if xd != yd:
+            xn, yn, xd = [a * yd for a in xn], [b * xd for b in yn], xd * yd
+        return tuple(a - b for a, b in itertools.zip_longest(xn, yn, fillvalue=0)), xd
+
+    def _bounds(self, x, tol: Fraction) -> tuple[int, int, int]:
+        """Integers lo, hi and D > 0 with lo/D <= x <= hi/D.
+
+        Termwise min/max of c_i lo^i, c_i hi^i over the isolating interval
+        [lo, hi] = [L/q, H/q] of beta refined to tol, summed as integers over
+        D = den * q^m for x = (sum n_i beta^i) / den of degree m.
+        """
+        interval = self.num.refine(tol)
+        if interval is not self._interval:
+            (L, H), q = _over_common_denominator(interval)
+            self._interval, self._ints = interval, (L, H, q)
+        L, H, q = self._ints
+        nums, den = x
         acc_lo = acc_hi = 0
         plo = phi = 1
         for n in nums:
@@ -205,14 +234,31 @@ class _AlgebraicArith:
             acc_lo, acc_hi = acc_lo * q + a, acc_hi * q + b
             plo *= L
             phi *= H
-        den = cden * q ** max(len(x) - 1, 0)
-        return Fraction(acc_lo, den), Fraction(acc_hi, den)
+        return acc_lo, acc_hi, den * q ** max(len(nums) - 1, 0)
+
+    def is_zero(self, x) -> bool:
+        nums, _ = x
+        if not any(nums):
+            return True
+        # An enclosure of the value that excludes 0 proves x nonzero.
+        lo, hi, _ = self._bounds(x, _TOL_64)
+        if lo > 0 or hi < 0:
+            return False
+        g = _poly_gcd(self.sf, _strip(list(nums)))
+        if len(g) <= 1:
+            return False
+        lo, hi = self.num.refine(Fraction(1, 2**24))
+        return count_real_roots(g, lo, hi) > 0 or _sign_at(g, lo) == 0
+
+    def enclosure(self, x, tol: Fraction) -> tuple[Fraction, Fraction]:
+        lo, hi, den = self._bounds(x, tol)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def sign(self, x) -> int:
         if self.is_zero(x):
             return 0
-        for tol in self.precision.tolerances():
-            lo, hi = self.enclosure(x, tol)
+        for tol in self._tolerances:
+            lo, hi, _ = self._bounds(x, tol)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -220,56 +266,44 @@ class _AlgebraicArith:
         raise UndecidableAtPrecisionError("sign of orbit expression undecided at max precision")
 
     def equal(self, x, y) -> bool:
-        if x == y:
-            return True
-        diff = [a - b for a, b in itertools.zip_longest(x, y, fillvalue=Fraction(0))]
-        return self.is_zero(tuple(diff))
+        diff = self._sub(x, y)
+        # equal coefficients need no zero test
+        return not any(diff[0]) or self.is_zero(diff)
 
     def compare(self, x, y) -> int:
-        diff = tuple(a - b for a, b in itertools.zip_longest(x, y, fillvalue=Fraction(0)))
-        return self.sign(diff)
+        return self.sign(self._sub(x, y))
 
-    def _certified_floor(self, x) -> tuple[int, Fraction]:
-        """Floor of x, with the lower end of the enclosure that decided it."""
-        for tol in self.precision.tolerances():
-            lo, hi = self.enclosure(x, tol)
-            flo = lo.numerator // lo.denominator
-            fhi = hi.numerator // hi.denominator
+    def _certified_floor(self, x) -> tuple[int, bool]:
+        """Floor d of x, and whether the enclosure that decided it already
+        proves x != d (its lower end lies strictly above d)."""
+        for tol in self._tolerances:
+            lo, hi, den = self._bounds(x, tol)
+            flo, fhi = lo // den, hi // den
             if flo == fhi:
-                return flo, lo
-            if fhi - flo == 1:
-                # x might be exactly the integer fhi
-                probe = list(x)
-                if not probe:
-                    probe = [Fraction(0)]
-                probe[0] -= fhi
-                if self.is_zero(tuple(probe)):
-                    return fhi, lo
+                return flo, lo > flo * den
+            # x might be exactly the integer fhi
+            if fhi - flo == 1 and self.is_zero(self._minus_int(x, fhi)):
+                return fhi, False
         raise UndecidableAtPrecisionError(
             "floor undecided at max precision", straddled=fhi)
 
-    def step(self, x) -> tuple[int, tuple[Fraction, ...]]:
+    def step(self, x):
         v = self._mul_beta(x)
-        d, lo = self._certified_floor(v)
-        probe = list(v) or [Fraction(0)]
-        probe[0] -= d
-        # an enclosure strictly above d already proves beta*x != d
-        if lo <= d and self.is_zero(tuple(probe)):
+        d, above = self._certified_floor(v)
+        if not above and self.is_zero(self._minus_int(v, d)):
             # beta*x is exactly the integer d, so the image is exactly 1
-            return d, (Fraction(1),)
-        nxt = [-c for c in v]
-        if nxt:
-            nxt[0] += d + 1
-        else:
-            nxt = [Fraction(d + 1)]
+            return d, self.one()
+        nums, den = self._minus_int(v, d + 1)
+        nxt = [-a for a in nums]
         while nxt and nxt[-1] == 0:
             nxt.pop()
-        return d, tuple(nxt)
+        return d, (tuple(nxt), den)
 
     def key(self, x):
-        lo, hi = self.enclosure(x, Fraction(1, 2**64))
-        mid = (lo + hi) / 2
-        return int(mid * 2**48)
+        """int(mid * 2**48) for the midpoint of the 2^-64 enclosure, exactly."""
+        lo, hi, den = self._bounds(x, _TOL_64)
+        n = (lo + hi) << 47
+        return n // den if n >= 0 else -(-n // den)
 
 
 def _arith_for(beta: BetaValue, precision: PrecisionConfig):
@@ -287,6 +321,8 @@ class ExpansionState:
     digits_so_far: tuple[int, ...]
     precision_budget: PrecisionConfig
     point: object = field(repr=False, default=None)
+    # the orbit arithmetic of the state's base, shared by every later state
+    arith: object = field(compare=False, repr=False, default=None)
 
 
 def initial_state(beta, x=1, precision: PrecisionConfig = DEFAULT_PRECISION) -> ExpansionState:
@@ -296,17 +332,22 @@ def initial_state(beta, x=1, precision: PrecisionConfig = DEFAULT_PRECISION) -> 
     if not 0 < x <= 1:
         raise NegBetaError(f"start point must lie in (0,1], got {x}")
     pt = arith.from_rational(x)
-    return ExpansionState(current=(x, x), digits_so_far=(), precision_budget=precision, point=pt)
+    return ExpansionState(current=(x, x), digits_so_far=(), precision_budget=precision,
+                          point=pt, arith=arith)
 
 
 def step(beta, state: ExpansionState) -> ExpansionState:
     """Advance the orbit one step, appending one expansion digit."""
     beta = BetaValue.of(beta)
-    arith = _arith_for(beta, state.precision_budget)
+    arith = state.arith
+    if arith is None or not arith.serves(beta):
+        arith = _arith_for(beta, state.precision_budget)
     d, nxt = arith.step(state.point)
-    assert 0 <= d <= beta.floor(), "digit outside 0..floor(beta)"
+    if not 0 <= d <= beta.floor():
+        raise InvariantError(f"digit {d} outside 0..floor(beta)")
     lo, hi = arith.enclosure(nxt, Fraction(1, 2**state.precision_budget.start_bits))
-    return replace(state, current=(lo, hi), digits_so_far=state.digits_so_far + (d,), point=nxt)
+    return replace(state, current=(lo, hi), digits_so_far=state.digits_so_far + (d,),
+                   point=nxt, arith=arith)
 
 
 class DigitStream:
@@ -434,7 +475,8 @@ def lower_bound_word(d1: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
     0 followed by the expansion of 1."""
     if d1.is_purely_periodic() and d1.period_length % 2 == 1:
         per = d1.per
-        assert per[-1] >= 1, "expansion of 1 cannot end its period with 0"
+        if per[-1] < 1:
+            raise InvariantError("expansion of 1 cannot end its period with 0")
         return canonicalize((), (0,) + per[:-1] + (per[-1] - 1,))
     return canonicalize((0,) + d1.pre, d1.per)
 

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
+from negbeta import analysis
 from negbeta.cli import parse_beta, run
-from negbeta.dynamics import PrecisionConfig
+from negbeta.dynamics import DEFAULT_PRECISION, PrecisionConfig
 from negbeta.errors import MalformedBaseError, NegBetaError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -195,7 +196,23 @@ def test_output_matches_golden_envelope(argv, golden):
     assert strip_timing(envelope(argv)) == expected
 
 
-@pytest.mark.parametrize("argv", [["analyze", "7325416"], ["extremal", "6"], ["verify", "4321"]])
+@pytest.mark.parametrize("argv", [["analyze", "7325416"], ["extremal", "6"], ["verify", "4321"],
+                                  ["expansion", "--beta", "poly:-2,1,0,-1,0,-2,1:1"]])
 def test_optimized_interpreter_gives_the_same_envelope(argv):
     # python -O strips assert statements; no check may depend on them
     assert strip_timing(envelope(argv, flags=["-O"])) == strip_timing(envelope(argv))
+
+
+def test_verify_passes_its_precision_to_every_membership_oracle(monkeypatch, capsys):
+    seen = []
+
+    class Recording(analysis.MembershipOracle):
+        def __init__(self, beta, precision=DEFAULT_PRECISION, **kwargs):
+            seen.append(precision)
+            super().__init__(beta, precision, **kwargs)
+
+    monkeypatch.setattr(analysis, "MembershipOracle", Recording)
+    assert run(["verify", "4321", "--precision", "512", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["passed"] is True
+    # one oracle above the threshold, one below and one at it
+    assert seen == [PrecisionConfig(start_bits=128, max_bits=512)] * 3

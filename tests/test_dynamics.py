@@ -1,5 +1,11 @@
+import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +14,16 @@ from negbeta import dynamics
 from negbeta.algebraic import (
     IntPolynomial,
     _mul,
+    _over_common_denominator,
+    _poly_gcd,
+    _sign_at,
+    _strip,
     b_of,
+    count_real_roots,
     isolate_real_roots,
     largest_root_gt1,
     poly_from_descending,
+    shift_root,
 )
 from negbeta.cli import parse_beta
 from negbeta.dynamics import (
@@ -30,7 +42,12 @@ from negbeta.dynamics import (
     t_step_rational,
     validate_expansion,
 )
-from negbeta.errors import NegBetaError, SupNotFixedError
+from negbeta.errors import (
+    InvariantError,
+    NegBetaError,
+    SupNotFixedError,
+    UndecidableAtPrecisionError,
+)
 from negbeta.words import sup_of_shifts, word
 
 GOLDEN = poly_from_descending(1, -1, -1)
@@ -287,26 +304,28 @@ def test_enclosure_matches_fraction_oracle(which, coeffs, bits):
     arith = dynamics._arith_for(enclosure_bases()[which], DEFAULT_PRECISION)
     x = tuple(coeffs[:arith.deg])
     tol = Fraction(1, 2**bits)
-    got = arith.enclosure(x, tol)
+    got = arith.enclosure(_point(x), tol)
     assert got == _enclosure_oracle(x, *arith.num.refine(tol))
     assert all(type(e) is Fraction for e in got)
 
 
 def test_is_zero_true_on_reduced_multiples_of_the_minimal_polynomial():
     arith = dynamics._arith_for(golden_reducible(), DEFAULT_PRECISION)
+    reference = _FractionArith(arith.num)
     for r in ((1,), (2, 1), (Fraction(-3, 7), 0, 5, 1)):
-        x = arith._reduce([Fraction(c) for c in _mul((-1, -1, 1), r)])
+        x = _point(reference._reduce([Fraction(c) for c in _mul((-1, -1, 1), r)]))
         assert x and arith.is_zero(x)
     # the other factor does not vanish at the golden ratio
-    assert not arith.is_zero((Fraction(-3), Fraction(0), Fraction(1)))
+    assert not arith.is_zero(_point((Fraction(-3), Fraction(0), Fraction(1))))
 
 
 def test_is_zero_true_on_a_period_repeat_at_a_yrrap_base():
     arith, pts = orbit_points(golden_reducible(), 1, 3)
     # T(1) = 2 - beta and T^2(1) = (beta - 1)^2 are equal, written differently
     assert pts[1] != pts[2]
-    diff = tuple(a - b for a, b in zip(pts[1] + (Fraction(0),), pts[2]))
-    assert arith.is_zero(diff) and arith.equal(pts[1], pts[2])
+    diff = tuple(a - b for a, b in zip(_coefficients(pts[1]) + (Fraction(0),),
+                                       _coefficients(pts[2])))
+    assert arith.is_zero(_point(diff)) and arith.equal(pts[1], pts[2])
     assert expansion_of_one(golden_reducible()).word == word("1(0)")
 
 
@@ -317,3 +336,209 @@ def test_nonperiodic_expansion_decides_every_zero_test_by_intervals(monkeypatch)
     res = expansion_of_one(parse_beta(DEGREE_SIX, DEFAULT_PRECISION), max_digits=200)
     assert len(res.digits) == 200 and not res.is_periodic
     assert calls == []
+
+
+# --- the Fraction orbit arithmetic, kept as the reference -------------------------
+
+def _point(coeffs):
+    """A tuple of Fraction coefficients as (integer numerators, shared denominator)."""
+    nums, den = _over_common_denominator(coeffs)
+    return tuple(nums), den
+
+
+def _coefficients(pt):
+    nums, den = pt
+    return tuple(Fraction(n, den) for n in nums)
+
+
+class _FractionArith:
+    """Orbit arithmetic in Q(beta) on tuples of Fraction coefficients, as
+    `_AlgebraicArith` computed it before points became integer numerators over
+    one shared denominator."""
+
+    def __init__(self, num, precision=DEFAULT_PRECISION):
+        self.num = num
+        self.sf = num._sf
+        self.deg = len(self.sf) - 1
+        self.precision = precision
+
+    def _reduce(self, coeffs):
+        lead = Fraction(self.sf[-1])
+        while len(coeffs) > self.deg:
+            c = coeffs.pop()
+            if c:
+                k = len(coeffs) - self.deg
+                for i, s in enumerate(self.sf[:-1]):
+                    coeffs[k + i] -= c * s / lead
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    def is_zero(self, x):
+        if not x:
+            return True
+        lo, hi = self.enclosure(x, Fraction(1, 2**64))
+        if lo > 0 or hi < 0:
+            return False
+        ints = _strip(_over_common_denominator(x)[0])
+        if not ints:
+            return True
+        g = _poly_gcd(self.sf, ints)
+        if len(g) <= 1:
+            return False
+        lo, hi = self.num.refine(Fraction(1, 2**24))
+        return count_real_roots(g, lo, hi) > 0 or _sign_at(g, lo) == 0
+
+    def enclosure(self, x, tol):
+        return _enclosure_oracle(x, *self.num.refine(tol))
+
+    def sign(self, x):
+        if self.is_zero(x):
+            return 0
+        for tol in self.precision.tolerances():
+            lo, hi = self.enclosure(x, tol)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+        raise UndecidableAtPrecisionError("sign undecided")
+
+    def equal(self, x, y):
+        if x == y:
+            return True
+        diff = [a - b for a, b in itertools.zip_longest(x, y, fillvalue=Fraction(0))]
+        return self.is_zero(tuple(diff))
+
+    def compare(self, x, y):
+        diff = tuple(a - b for a, b in itertools.zip_longest(x, y, fillvalue=Fraction(0)))
+        return self.sign(diff)
+
+    def _certified_floor(self, x):
+        for tol in self.precision.tolerances():
+            lo, hi = self.enclosure(x, tol)
+            flo, fhi = lo.__floor__(), hi.__floor__()
+            if flo == fhi:
+                return flo, lo
+            if fhi - flo == 1:
+                probe = list(x) or [Fraction(0)]
+                probe[0] -= fhi
+                if self.is_zero(tuple(probe)):
+                    return fhi, lo
+        raise UndecidableAtPrecisionError("floor undecided")
+
+    def step(self, x):
+        v = self._reduce([Fraction(0), *x])
+        d, lo = self._certified_floor(v)
+        probe = list(v) or [Fraction(0)]
+        probe[0] -= d
+        if lo <= d and self.is_zero(tuple(probe)):
+            return d, (Fraction(1),)
+        nxt = [-c for c in v]
+        if nxt:
+            nxt[0] += d + 1
+        else:
+            nxt = [Fraction(d + 1)]
+        while nxt and nxt[-1] == 0:
+            nxt.pop()
+        return d, tuple(nxt)
+
+    def key(self, x):
+        lo, hi = self.enclosure(x, Fraction(1, 2**64))
+        return int((lo + hi) / 2 * 2**48)
+
+
+def oracle_base(which):
+    """The reducible golden ratio, the degree-6 base, and that base plus 1/20,
+    whose defining polynomial is not monic."""
+    if which == 0:
+        return golden_reducible()
+    deg6 = parse_beta(DEGREE_SIX, DEFAULT_PRECISION)
+    if which == 1:
+        return deg6
+    return BetaValue.from_algebraic(shift_root(deg6.algebraic, Fraction(1, 20)))
+
+
+fractions_in_unit = st.builds(lambda a, b: Fraction(min(a, b), max(a, b)),
+                              st.integers(1, 10**4), st.integers(1, 10**4))
+small_fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))
+
+
+@given(st.integers(0, 2), fractions_in_unit, st.integers(1, 40),
+       st.lists(small_fractions, max_size=7), st.integers(0, 300), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_integer_orbit_arithmetic_matches_fraction_oracle(which, x, count, extra, bits, rnd):
+    beta = oracle_base(which)
+    arith = dynamics._arith_for(beta, DEFAULT_PRECISION)
+    reference = _FractionArith(arith.num)
+    monic = arith.sf[-1] == 1
+    assert monic == (which != 2)
+    pts, refs = [arith.from_rational(x)], [(x,)]
+    for _ in range(count):
+        d, nxt = arith.step(pts[-1])
+        assert (d, _coefficients(nxt)) == reference.step(refs[-1])
+        if not monic:
+            assert gcd(nxt[1], *nxt[0]) == 1
+        pts.append(nxt)
+        refs.append(reference._reduce([Fraction(c) for c in _coefficients(nxt)]))
+    extra = tuple(extra[:arith.deg])
+    while extra and extra[-1] == 0:
+        extra = extra[:-1]
+    pts.append(_point(extra))
+    refs.append(extra)
+    tol = Fraction(1, 2**bits)
+    for i in range(len(pts)):
+        j = rnd.randrange(len(pts))
+        assert arith.equal(pts[i], pts[j]) == reference.equal(refs[i], refs[j])
+        assert arith.compare(pts[i], pts[j]) == reference.compare(refs[i], refs[j])
+        assert arith.enclosure(pts[i], tol) == reference.enclosure(refs[i], tol)
+        assert arith.key(pts[i]) == reference.key(refs[i])
+
+
+def test_step_reuses_the_orbit_arithmetic_of_its_state(monkeypatch):
+    built = []
+    real = dynamics._arith_for
+    monkeypatch.setattr(dynamics, "_arith_for", lambda *a: built.append(a) or real(*a))
+    beta = parse_beta(DEGREE_SIX, DEFAULT_PRECISION)
+    state = initial_state(beta, 1)
+    for _ in range(32):
+        state = step(beta, state)
+    assert len(built) == 1
+    # the same base given as another object is served by its own arithmetic
+    other = parse_beta(DEGREE_SIX, DEFAULT_PRECISION)
+    assert step(other, state).digits_so_far[:32] == state.digits_so_far
+    assert len(built) == 2
+
+
+_INVARIANT_PATHS = """
+import dataclasses
+from fractions import Fraction
+from negbeta import dynamics
+from negbeta.errors import InvariantError
+from negbeta.words import word
+
+class BadDigit:
+    def serves(self, beta):
+        return True
+
+    def step(self, x):
+        return 3, x
+
+state = dataclasses.replace(dynamics.initial_state(2, Fraction(1, 3)), arith=BadDigit())
+for call in (lambda: dynamics.step(2, state),
+             lambda: dynamics.lower_bound_word(word("(100)"))):
+    try:
+        call()
+    except InvariantError as err:
+        print(err.reason)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_dynamics_invariants_raise_typed_errors(flags):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, *flags, "-c", _INVARIANT_PATHS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [InvariantError.reason] * 2
