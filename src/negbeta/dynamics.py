@@ -266,9 +266,7 @@ class _AlgebraicArith:
         raise UndecidableAtPrecisionError("sign of orbit expression undecided at max precision")
 
     def equal(self, x, y) -> bool:
-        diff = self._sub(x, y)
-        # equal coefficients need no zero test
-        return not any(diff[0]) or self.is_zero(diff)
+        return self.is_zero(self._sub(x, y))
 
     def compare(self, x, y) -> int:
         return self.sign(self._sub(x, y))
