@@ -55,10 +55,6 @@ def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
     return _strip(out)
 
 
-def _scale(a: Coeffs, k: int) -> Coeffs:
-    return () if k == 0 else tuple(x * k for x in a)
-
-
 def _deriv(a: Coeffs) -> Coeffs:
     return tuple(i * x for i, x in enumerate(a) if i >= 1)
 
@@ -184,7 +180,8 @@ def _exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
         if coef:
             for j, bc in enumerate(b):
                 rem[i + j] -= coef * bc
-    assert all(r == 0 for r in rem), "division was not exact"
+    if any(rem):
+        raise InvariantError("polynomial division was not exact")
     return _primitive(_strip(_over_common_denominator(out)[0]))
 
 
@@ -205,9 +202,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def is_monic(self) -> bool:
-        return bool(self.coefficients) and self.coefficients[-1] == 1
 
     def __call__(self, x):
         if isinstance(x, Fraction):
@@ -368,7 +362,8 @@ class AlgebraicNumber:
         while lo.__floor__() != hi.__floor__():
             n = hi.__floor__()
             s_n = _sign_at(self._sf, Fraction(n))
-            assert s_n != 0, "irrational root equal to an integer"
+            if s_n == 0:
+                raise InvariantError("irrational root equal to an integer")
             if s_n == _sign_at(self._sf, lo):
                 lo = Fraction(n)
             else:
@@ -577,8 +572,10 @@ def b_of(w: EventuallyPeriodicWord):
     if words.compare_with_u(w) <= 0:
         return 1
     root = largest_root_gt1(char_polynomial(w))
-    assert root is not None, f"no root above 1 for {w}"
-    assert root.compare(Fraction(w.max_digit() + 1)) <= 0
+    if root is None:
+        raise InvariantError(f"no root above 1 for {w}")
+    if root.compare(Fraction(w.max_digit() + 1)) > 0:
+        raise InvariantError(f"the base of {w} exceeds its largest digit plus one")
     return root
 
 
@@ -623,6 +620,22 @@ def _certified_roots(sf: Coeffs, dps: int = 60):
         return out
 
 
+def _conjugates(num: AlgebraicNumber) -> list:
+    """Certified enclosures of the roots of num's squarefree part other than
+    num itself, which must be matched by exactly one enclosure."""
+    lo, hi = num.refine(Fraction(1, 10**12))
+    conjugates = []
+    self_seen = False
+    for z, rad in _certified_roots(num._sf):
+        if not self_seen and abs(z.imag) < rad + 1e-30 and float(lo) - float(rad) <= z.real <= float(hi) + float(rad):
+            self_seen = True
+            continue
+        conjugates.append((z, rad))
+    if not self_seen:
+        raise InvariantError("the root itself was not matched among the enclosures")
+    return conjugates
+
+
 def classify_perron_pisot(num: AlgebraicNumber) -> str:
     """Pisot: algebraic integer above 1 with every other root of the
     squarefree defining part strictly inside the unit circle.  Perron: those
@@ -633,22 +646,12 @@ def classify_perron_pisot(num: AlgebraicNumber) -> str:
         if num.exact.denominator != 1:
             return NEITHER
         return PISOT if num.exact > 1 else NEITHER
-    sf = num._sf
-    if abs(sf[-1]) != 1:
+    if abs(num._sf[-1]) != 1:
         return NEITHER
     lo, hi = num.refine(Fraction(1, 10**12))
     if hi <= 1:
         return NEITHER
-    enclosures = _certified_roots(sf)
-    conjugates = []
-    self_seen = False
-    for z, rad in enclosures:
-        if not self_seen and abs(z.imag) < rad + 1e-30 and float(lo) - float(rad) <= z.real <= float(hi) + float(rad):
-            self_seen = True
-            continue
-        conjugates.append((z, rad))
-    if not self_seen:
-        raise InvariantError("the root itself was not matched among the enclosures")
+    conjugates = _conjugates(num)
     margin = Fraction(1, 10**6)
     if all(abs(z) + rad < 1 - float(margin) for z, rad in conjugates):
         return PISOT
@@ -661,13 +664,4 @@ def conjugate_modulus_margin(num: AlgebraicNumber) -> float:
     """1 minus the largest conjugate modulus (for Pisot margin reporting)."""
     if num.is_rational():
         return 1.0
-    enclosures = _certified_roots(num._sf)
-    lo, hi = num.refine(Fraction(1, 10**12))
-    best = 1.0
-    self_seen = False
-    for z, rad in enclosures:
-        if not self_seen and abs(z.imag) < rad + 1e-30 and float(lo) - float(rad) <= z.real <= float(hi) + float(rad):
-            self_seen = True
-            continue
-        best = min(best, 1 - (abs(z) + rad))
-    return float(best)
+    return float(min([1.0] + [1 - (abs(z) + rad) for z, rad in _conjugates(num)]))

@@ -22,6 +22,7 @@ from .algebraic import (
     _poly_gcd,
     b_of,
     char_polynomial,
+    shift_root,
 )
 from .dynamics import (
     DEFAULT_PRECISION,
@@ -73,9 +74,7 @@ def _tail_comparator(w: EventuallyPeriodicWord, n: int):
         for i in range(span):
             a, b = digits[k1 - 1 + i], digits[k2 - 1 + i]
             if a != b:
-                if i % 2 == 0:
-                    return -1 if a < b else 1
-                return 1 if a < b else -1
+                return words.alt_order(a, b, i + 1)
         return 0
 
     return cmp
@@ -137,6 +136,15 @@ def prop1_check(w: EventuallyPeriodicWord, pi: Permutation) -> bool:
 
 # --- the analysis report ------------------------------------------------------
 
+def _decimal(b, places: int) -> str:
+    """A threshold as text: "1", the exact rational, or rounded to places."""
+    if b == 1:
+        return "1"
+    if b.is_rational():
+        return str(b.exact)
+    return b.decimal(places)
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything the threshold pipeline derives for one permutation."""
@@ -154,11 +162,7 @@ class AnalysisReport:
     b1_exponent: int | None
 
     def b_decimal(self, places: int = 3) -> str:
-        if self.b_minus == 1:
-            return "1"
-        if self.b_minus.is_rational():
-            return str(self.b_minus.exact)
-        return self.b_minus.decimal(places)
+        return _decimal(self.b_minus, places)
 
     def to_json(self) -> dict:
         lm = {"m": self.landmarks.m, "ell": self.landmarks.ell, "r": self.landmarks.r}
@@ -285,11 +289,7 @@ class SpectrumGroup:
     members: list[Permutation]
 
     def decimal(self, places: int = 3) -> str:
-        if self.value == 1:
-            return "1"
-        if self.value.is_rational():
-            return str(self.value.exact)
-        return self.value.decimal(places)
+        return _decimal(self.value, places)
 
     def to_json(self) -> dict:
         return {
@@ -533,13 +533,13 @@ def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
                     ref = lower.digit(k)
                     if d != ref:
                         # tail must stay above the lower periodization
-                        if (d > ref) != (k % 2 == 1):
+                        if words.alt_order(d, ref, k) == words.LESS:
                             continue
                         t_lo = False
                 if upper is not None and t_hi:
                     ref = upper.digit(k)
                     if d != ref:
-                        if (d < ref) != (k % 2 == 1):
+                        if words.alt_order(d, ref, k) == words.GREATER:
                             continue
                         t_hi = False
                 if admissibility is not None:
@@ -581,23 +581,19 @@ def _advance_ties(adm: MembershipOracle, tied_d1: tuple[int, ...], tied_low: tup
     been compared through relative index pos - s + 1.  Suffixes that resolve
     above the expansion of 1, or at-or-below the lower bound, kill the branch.
     """
-    new_d1 = []
-    for s in tied_d1 + (pos,):
-        i = pos - s + 1
-        ref = adm.d1_digit(i)
-        if d == ref:
-            new_d1.append(s)
-        elif (d > ref) == (i % 2 == 1):
-            return (), (), False  # suffix exceeds the expansion of 1
-    new_low = []
-    for s in tied_low + (pos,):
-        i = pos - s + 1
-        ref = adm.lower_digit(i)
-        if d == ref:
-            new_low.append(s)
-        elif (d < ref) == (i % 2 == 1):
-            return (), (), False  # suffix falls at or below the lower bound
-    return tuple(new_d1), tuple(new_low), True
+    ties = []
+    for tied, reference, wrong_side in ((tied_d1, adm.d1_digit, words.GREATER),
+                                        (tied_low, adm.lower_digit, words.LESS)):
+        kept = []
+        for s in tied + (pos,):
+            i = pos - s + 1
+            ref = reference(i)
+            if d == ref:
+                kept.append(s)
+            elif words.alt_order(d, ref, i) == wrong_side:
+                return (), (), False
+        ties.append(tuple(kept))
+    return ties[0], ties[1], True
 
 
 def min_alphabet_bruteforce(pi, max_prefix: int | None = None,
@@ -624,14 +620,9 @@ def min_alphabet_bruteforce(pi, max_prefix: int | None = None,
 
 # --- admissible witnesses and the threshold sandwich ---------------------------
 
-def _beta_plus(b, margin: Fraction):
-    if b == 1:
-        return BetaValue.from_rational(1 + margin)
-    if b.is_rational():
-        return BetaValue.from_rational(b.exact + margin)
-    from .algebraic import shift_root
-
-    return BetaValue.from_algebraic(shift_root(b, margin))
+def _beta_plus(b, margin: Fraction) -> BetaValue:
+    """The base b + margin, for a threshold b (literal 1 or AlgebraicNumber)."""
+    return BetaValue.of(1 + margin if b == 1 else shift_root(b, margin))
 
 
 def witness_word(pi, beta_margin=Fraction(1, 20),
@@ -689,9 +680,7 @@ def _seeded_witnesses(report: AnalysisReport, precision: PrecisionConfig):
             pass
     tails.append(periodization(per[:-1] + (per[-1] + 1,)))
     if report.b_minus != 1:
-        d1 = expansion_of_one(BetaValue.from_algebraic(report.b_minus)
-                              if isinstance(report.b_minus, AlgebraicNumber)
-                              else report.b_minus, precision=precision).word
+        d1 = expansion_of_one(report.b_minus, precision=precision).word
         if d1 is not None:
             tails.append(d1)
     for zpfx in variant_prefixes:
@@ -763,20 +752,9 @@ def sandwich_check(pi, margin=Fraction(1, 20),
     except SearchInconclusiveError:
         pass
     below = None
-    if b.is_rational():
-        beta_below = BetaValue.from_rational(b.exact - margin) if b.exact - margin > 1 else None
-    else:
-        lo, _ = b.refine(Fraction(1, 2**24))
-        if lo - margin > 1:
-            from .algebraic import shift_root
-
-            beta_below = BetaValue.from_algebraic(shift_root(b, -margin))
-        else:
-            beta_below = None
-    if beta_below is not None:
-        below = realizable_at(pi, beta_below, bounds, precision)
-    at = realizable_at(pi, BetaValue.from_rational(b.exact) if b.is_rational()
-                       else BetaValue.from_algebraic(b), bounds, precision)
+    if b.refine(Fraction(1, 2**24))[0] - margin > 1:
+        below = realizable_at(pi, _beta_plus(b, -margin), bounds, precision)
+    at = realizable_at(pi, b, bounds, precision)
     return SandwichReport(
         pi=pi, b_decimal=report.b_decimal(6), margin=margin,
         witness_above=witness, found_below=below, found_at=at,

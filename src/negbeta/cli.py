@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis, dynamics, inverse
-from .algebraic import AlgebraicNumber, IntPolynomial, isolate_real_roots, root_upper_bound
+from .algebraic import IntPolynomial, isolate_real_roots, root_upper_bound
 from .dynamics import BetaValue, PrecisionConfig
 from .errors import MalformedBaseError, NegBetaError
 from .permutations import parse_permutation
@@ -137,12 +137,8 @@ def _cmd_expansion(args, precision) -> Rendered:
                                     detect_period=not args.no_period,
                                     precision=precision)
     # certified interval endpoints of the first orbit points, for audit
-    orbit = []
-    state = dynamics.initial_state(beta, 1, precision)
-    for _ in range(min(len(res.digits), 32)):
-        state = dynamics.step(beta, state)
-        lo, hi = state.current
-        orbit.append([f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"])
+    orbit = [[f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"]
+             for lo, hi in res.orbit_intervals(32, Fraction(1, 2**precision.start_bits))]
     results = {
         "beta": str(beta),
         "digits": list(res.digits),
@@ -185,7 +181,10 @@ def _cmd_realize(args, precision) -> Rendered:
 
 def _cmd_verify(args, precision) -> Rendered:
     pi = parse_permutation(args.perm)
-    margin = Fraction(args.margin).limit_denominator(10**9)
+    try:
+        margin = Fraction(args.margin).limit_denominator(10**9)
+    except (ValueError, ZeroDivisionError):
+        raise NegBetaError(f"bad margin {args.margin!r}; want a rational such as 1/20") from None
     report = analysis.sandwich_check(pi, margin, precision=precision)
     text = (f"pi = {pi}\nB- = {report.b_decimal}\n"
             f"witness above = {report.witness_above}\n"
@@ -267,7 +266,6 @@ def run(argv: list[str]) -> int:
         bits = int(os.environ[ENV_PRECISION])
     if bits is None:
         bits = 4096
-    precision = PrecisionConfig(start_bits=min(128, bits), max_bits=bits)
     started = time.monotonic()
     envelope = {
         "schema": SCHEMA,
@@ -276,6 +274,7 @@ def run(argv: list[str]) -> int:
         "seed": args.seed,
     }
     try:
+        precision = PrecisionConfig(start_bits=min(128, bits), max_bits=bits)
         rendered = _COMMANDS[args.command](args, precision)
     except NegBetaError as err:
         envelope["error"] = err.payload()

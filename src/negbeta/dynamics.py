@@ -43,6 +43,11 @@ class PrecisionConfig:
     start_bits: int = 128
     max_bits: int = 4096
 
+    def __post_init__(self):
+        if not 1 <= self.start_bits <= self.max_bits:
+            raise NegBetaError(f"precision needs 1 <= start_bits <= max_bits, got "
+                               f"{self.start_bits} and {self.max_bits}")
+
     def tolerances(self):
         bits = self.start_bits
         while True:
@@ -121,6 +126,9 @@ class _RationalArith:
     def serves(self, beta: BetaValue) -> bool:
         return beta.rational == self.beta
 
+    def reads(self, other) -> bool:
+        return isinstance(other, _RationalArith) and other.beta == self.beta
+
     def one(self):
         return Fraction(1)
 
@@ -167,6 +175,11 @@ class _AlgebraicArith:
     def serves(self, beta: BetaValue) -> bool:
         # the enclosures depend on the interval state of num, so identity
         return beta.algebraic is self.num
+
+    def reads(self, other) -> bool:
+        """Do the points of the arithmetic other hold the same numbers here?"""
+        return (isinstance(other, _AlgebraicArith) and other.sf == self.sf
+                and other.num.equals(self.num))
 
     def one(self):
         return ((1,), 1)
@@ -310,6 +323,31 @@ def _arith_for(beta: BetaValue, precision: PrecisionConfig):
     return _AlgebraicArith(beta.algebraic, precision)
 
 
+def _start(beta: BetaValue, x, precision: PrecisionConfig):
+    """The orbit arithmetic of beta and the exact point x, which must lie in (0,1]."""
+    arith = _arith_for(beta, precision)
+    x = Fraction(x)
+    if not 0 < x <= 1:
+        raise NegBetaError(f"start point must lie in (0,1], got {x}")
+    return arith, arith.from_rational(x)
+
+
+def _walk(beta: BetaValue, arith, x):
+    """The exact orbit after the point x: yields (digit, T(x)), (digit, T^2(x)), ...
+
+    Every digit must lie in 0..floor(beta).  The floor is read after the
+    first step, which has already refined beta's interval past any integer.
+    """
+    top = None
+    while True:
+        d, x = arith.step(x)
+        if top is None:
+            top = beta.floor()
+        if not 0 <= d <= top:
+            raise InvariantError(f"digit {d} outside 0..floor(beta)")
+        yield d, x
+
+
 @dataclass(frozen=True)
 class ExpansionState:
     """Orbit state: exact current point, its certified interval, the digits
@@ -324,25 +362,25 @@ class ExpansionState:
 
 
 def initial_state(beta, x=1, precision: PrecisionConfig = DEFAULT_PRECISION) -> ExpansionState:
-    beta = BetaValue.of(beta)
-    arith = _arith_for(beta, precision)
     x = Fraction(x)
-    if not 0 < x <= 1:
-        raise NegBetaError(f"start point must lie in (0,1], got {x}")
-    pt = arith.from_rational(x)
+    arith, pt = _start(BetaValue.of(beta), x, precision)
     return ExpansionState(current=(x, x), digits_so_far=(), precision_budget=precision,
                           point=pt, arith=arith)
 
 
 def step(beta, state: ExpansionState) -> ExpansionState:
-    """Advance the orbit one step, appending one expansion digit."""
+    """Advance the orbit one step, appending one expansion digit.
+
+    The state must come from the same base: a base of another value or
+    defining polynomial raises NegBetaError.
+    """
     beta = BetaValue.of(beta)
     arith = state.arith
     if arith is None or not arith.serves(beta):
         arith = _arith_for(beta, state.precision_budget)
-    d, nxt = arith.step(state.point)
-    if not 0 <= d <= beta.floor():
-        raise InvariantError(f"digit {d} outside 0..floor(beta)")
+        if state.arith is not None and not arith.reads(state.arith):
+            raise NegBetaError(f"the orbit state was built for another base than {beta}")
+    d, nxt = next(_walk(beta, arith, state.point))
     lo, hi = arith.enclosure(nxt, Fraction(1, 2**state.precision_budget.start_bits))
     return replace(state, current=(lo, hi), digits_so_far=state.digits_so_far + (d,),
                    point=nxt, arith=arith)
@@ -359,15 +397,13 @@ class DigitStream:
     def __init__(self, beta, x=1, precision: PrecisionConfig = DEFAULT_PRECISION,
                  max_digits: int = 20000):
         self.beta = BetaValue.of(beta)
-        self.arith = _arith_for(self.beta, precision)
+        self.arith, start = _start(self.beta, x, precision)
         self.max_digits = max_digits
         self.digits: list[int] = []
         self.word: EventuallyPeriodicWord | None = None
-        x = Fraction(x)
-        if not 0 < x <= 1:
-            raise NegBetaError(f"start point must lie in (0,1], got {x}")
-        self._points = [self.arith.from_rational(x)]
-        self._buckets: dict[object, list[int]] = {self.arith.key(self._points[0]): [0]}
+        self._points = [start]
+        self._steps = _walk(self.beta, self.arith, start)
+        self._buckets: dict[object, list[int]] = {self.arith.key(start): [0]}
 
     def _find_repeat(self, index: int, key) -> int | None:
         candidates = []
@@ -382,12 +418,10 @@ class DigitStream:
         return None
 
     def _advance(self):
-        if self.word is not None:
-            return
         if len(self.digits) >= self.max_digits:
             raise UndecidableAtPrecisionError(
                 f"no certified period within {self.max_digits} digits")
-        d, nxt = self.arith.step(self._points[-1])
+        d, nxt = next(self._steps)
         self.digits.append(d)
         self._points.append(nxt)
         idx = len(self._points) - 1
@@ -400,13 +434,9 @@ class DigitStream:
 
     def digit(self, k: int) -> int:
         """k-th expansion digit, 1-based."""
-        if self.word is not None:
-            return self.word.digit(k)
         while len(self.digits) < k and self.word is None:
             self._advance()
-        if self.word is not None:
-            return self.word.digit(k)
-        return self.digits[k - 1]
+        return self.digits[k - 1] if k <= len(self.digits) else self.word.digit(k)
 
     def detect_period(self, budget: int) -> EventuallyPeriodicWord | None:
         while self.word is None and len(self.digits) < budget:
@@ -421,10 +451,17 @@ class ExpansionResult:
 
     digits: tuple[int, ...]
     word: EventuallyPeriodicWord | None
+    # the orbit arithmetic and the exact points 1, T(1), ... behind the digits
+    arith: object = field(compare=False, repr=False, default=None)
+    points: tuple = field(compare=False, repr=False, default=())
 
     @property
     def is_periodic(self) -> bool:
         return self.word is not None
+
+    def orbit_intervals(self, count: int, tol: Fraction) -> list[tuple[Fraction, Fraction]]:
+        """Certified enclosures of T(1), ..., T^k(1) for k = min(count, digits)."""
+        return [self.arith.enclosure(x, tol) for x in self.points[1:count + 1]]
 
 
 def expansion_of_one(beta, max_digits: int = 1000, detect_period: bool = True,
@@ -433,38 +470,38 @@ def expansion_of_one(beta, max_digits: int = 1000, detect_period: bool = True,
 
     With detect_period, stops as soon as an exact orbit repeat is certified
     and returns the eventually periodic word; a base is Yrrap exactly when
-    this happens for some finite budget.
+    this happens for some finite budget.  Without it, returns exactly
+    max_digits digits and no word.
     """
-    stream = DigitStream(beta, 1, precision, max_digits=max_digits + 1)
-    w = None
     if detect_period:
-        w = stream.detect_period(max_digits)
-    if w is not None:
-        return ExpansionResult(digits=tuple(stream.digits), word=w)
-    while len(stream.digits) < max_digits and stream.word is None:
-        stream._advance()
-    return ExpansionResult(digits=tuple(stream.digits[:max_digits]), word=stream.word)
+        stream = DigitStream(beta, 1, precision, max_digits=max_digits + 1)
+        word = stream.detect_period(max_digits)
+        return ExpansionResult(digits=tuple(stream.digits), word=word,
+                               arith=stream.arith, points=tuple(stream._points))
+    arith, points, digits = _orbit(beta, 1, max_digits, precision)
+    return ExpansionResult(digits=digits, word=None, arith=arith, points=points)
+
+
+def _orbit(beta, x, count: int, precision: PrecisionConfig):
+    """The orbit arithmetic of beta, the exact points x, T(x), ..., T^count(x)
+    and the count digits read between them."""
+    beta = BetaValue.of(beta)
+    arith, start = _start(beta, x, precision)
+    steps = list(itertools.islice(_walk(beta, arith, start), max(count, 0)))
+    return arith, (start, *(pt for _, pt in steps)), tuple(d for d, _ in steps)
 
 
 def expansion_digits(beta, x, count: int,
                      precision: PrecisionConfig = DEFAULT_PRECISION) -> tuple[int, ...]:
     """First digits of the expansion of an arbitrary point x in (0,1]."""
-    state = initial_state(beta, x, precision)
-    for _ in range(count):
-        state = step(beta, state)
-    return state.digits_so_far
+    return _orbit(beta, x, count, precision)[2]
 
 
 def orbit_points(beta, x, count: int,
                  precision: PrecisionConfig = DEFAULT_PRECISION):
     """The exact orbit x, T(x), ..., T^(count-1)(x) with the backend arith."""
-    beta = BetaValue.of(beta)
-    arith = _arith_for(beta, precision)
-    pts = [arith.from_rational(Fraction(x))]
-    for _ in range(count - 1):
-        _, nxt = arith.step(pts[-1])
-        pts.append(nxt)
-    return arith, pts
+    arith, points, _ = _orbit(beta, x, count - 1, precision)
+    return arith, list(points)
 
 
 def lower_bound_word(d1: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
@@ -531,37 +568,26 @@ class MembershipOracle:
             return self.lower.digit(i)
         return 0 if i == 1 else self.stream.digit(i - 1)
 
-    def _compare_tail_with_d1(self, t: EventuallyPeriodicWord) -> int:
-        for k in range(1, self.compare_cap + 1):
-            a, b = t.digit(k), self.stream.digit(k)
+    def _compare_tail(self, t: EventuallyPeriodicWord, reference, cap: int, bound: str) -> int:
+        """Alternating-lex order of t against the digits reference(1), reference(2), ..."""
+        for k in range(1, cap + 1):
+            a, b = t.digit(k), reference(k)
             if a != b:
-                if k % 2 == 1:
-                    return -1 if a < b else 1
-                return 1 if a < b else -1
-        raise UndecidableAtPrecisionError("tail comparison with expansion of 1 unresolved")
-
-    def _compare_tail_with_lower(self, t: EventuallyPeriodicWord) -> int:
-        # Lower bound read as 0 d1.  With no repeat certified within the
-        # period budget, any purely periodic d1 has period beyond the budget,
-        # and the two candidate lower-bound forms agree on a prefix that long;
-        # so decisions inside the budget are form-independent, deeper ones are
-        # refused rather than risked.
-        for k in range(1, self.period_budget + 1):
-            a = t.digit(k)
-            b = 0 if k == 1 else self.stream.digit(k - 1)
-            if a != b:
-                if k % 2 == 1:
-                    return -1 if a < b else 1
-                return 1 if a < b else -1
-        raise UndecidableAtPrecisionError("tail comparison with lower bound unresolved")
+                return words.alt_order(a, b, k)
+        raise UndecidableAtPrecisionError(f"tail comparison with {bound} unresolved")
 
     def contains(self, w: EventuallyPeriodicWord) -> bool:
         if self.word is not None:
             return shift_membership(w, self.word)
+        # Without a certified period the lower bound is read as 0 d1.  Then
+        # any purely periodic d1 has period beyond the period budget, and the
+        # two candidate lower-bound forms agree on a prefix that long; so
+        # decisions inside the budget are form-independent, deeper ones are
+        # refused rather than risked.
         for t in w.distinct_tails():
-            if self._compare_tail_with_d1(t) > 0:
+            if self._compare_tail(t, self.d1_digit, self.compare_cap, "expansion of 1") > 0:
                 return False
-            if self._compare_tail_with_lower(t) <= 0:
+            if self._compare_tail(t, self.lower_digit, self.period_budget, "lower bound") <= 0:
                 return False
         return True
 
@@ -582,8 +608,7 @@ def validate_expansion(w: EventuallyPeriodicWord,
     arith = _arith_for(beta, precision)
     q, p = w.preperiod_length, w.period_length
     pts = [arith.one()]
-    for k in range(1, q + p + 1):
-        d, nxt = arith.step(pts[-1])
+    for k, (d, nxt) in enumerate(itertools.islice(_walk(beta, arith, pts[0]), q + p), start=1):
         if d != w.digit(k):
             return False
         pts.append(nxt)

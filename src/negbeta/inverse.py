@@ -14,6 +14,7 @@ never on a guessed reading.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from . import words
@@ -102,69 +103,33 @@ def _display_value(d: int, rank: int, ri1: int, rj1: int, some_pos: bool) -> int
     return None
 
 
-def _rank_options(d: int, rank: int, ri1: int, rj1: int, some_pos: bool) -> list[int]:
-    """Candidate insertion counts to try at one rank, most plausible first.
-
-    The printed reading leads; the uncovered configuration (difference at
-    least two, successor rank above, no positive count in range) starts at
-    d + 1, which is the value the certified round trips select in practice.
-    """
-    first = _display_value(d, rank, ri1, rj1, some_pos)
-    if first is None:
-        first = d + 1
-    out = [first]
-    for v in (d, d + 1, d - 1, d + 2, 0, 1, 2):
-        if 0 <= v <= d + 2 and v not in out:
-            out.append(v)
-    return out
-
-
 def y_digits(w: EventuallyPeriodicWord, rho: Permutation,
              vacuous_bonus: bool = False, strict: bool = True) -> tuple[int, ...]:
     """Insertion counts, assigned downward from the top rank.
 
-    With strict=True this is the literal display reading and raises on the
-    uncovered guard configuration; with strict=False the certified
-    (round-trip verified) vector is returned instead.
+    With strict=True this is the literal display reading, the first vector of
+    the candidate search (its second when vacuous_bonus applies to an empty
+    closing range), and raises on the uncovered guard configuration; with
+    strict=False the certified (round-trip verified) vector is returned.
     """
     if not strict:
         return construct_state(w, check_expansion=False).y
-    q, p, digits = w.padded_form()
-    size = p + q
-    inv = rho.inverse()
-
-    def rho_ext(k: int) -> int:
-        return rho(k) if k <= size else rho(q + 1)
-
-    y: dict[int, int] = {}
-    for rank in range(size, 1, -1):
-        j = inv[rank - 1]
-        i = inv[rank - 2]
-        d = digits[j - 1] - digits[i - 1]
-        ri1, rj1 = rho_ext(i + 1), rho_ext(j + 1)
-        some_pos = any(y[k] >= 1 for k in range(1, size + 1)
-                       if rank < rho(k) <= rj1 and k in y)
-        val = _display_value(d, rank, ri1, rj1, some_pos)
-        if val is None:
-            raise NegBetaError(
-                f"no insertion rule matches at rank {rank} for {w} (rho={rho})")
-        y[j] = val
-    j1 = inv[0]
-    in_range = [y[k] for k in range(1, size + 1) if 1 < rho(k) <= rho_ext(j1 + 1)]
-    if in_range:
-        bonus = 1 if all(v == 0 for v in in_range) else 0
-    else:
-        bonus = 1 if vacuous_bonus else 0
-    y[j1] = digits[j1 - 1] + bonus
-    return tuple(y[j] for j in range(1, size + 1))
+    (y, _, silent), (flipped, vacuous, _) = itertools.islice(_y_vector_candidates(w, rho), 2)
+    if silent is not None:
+        raise NegBetaError(f"no insertion rule matches at rank {silent} for {w} (rho={rho})")
+    return flipped if vacuous_bonus and vacuous else y
 
 
 def _y_vector_candidates(w: EventuallyPeriodicWord, rho: Permutation):
-    """All insertion vectors in deterministic plausibility order.
+    """All insertion vectors in deterministic plausibility order, as triples
+    (y, vacuous, silent).
 
-    Ranks are branched where the display is ambiguous or silent; the closing
-    rank tries the display bonus first, then its flip (non-vacuous reading
-    first when its range is empty)."""
+    Each rank tries the printed reading first, then the other counts within
+    d + 2; where the display is silent (difference at least two, successor
+    rank above, no positive count in range) it starts at d + 1, the value
+    the certified round trips select in practice, and silent names the top
+    such rank of the vector.  The closing rank tries the display bonus, then
+    its flip; with an empty range it tries no bonus, then the vacuous one."""
     q, p, digits = w.padded_form()
     size = p + q
     inv = rho.inverse()
@@ -176,21 +141,15 @@ def _y_vector_candidates(w: EventuallyPeriodicWord, rho: Permutation):
     j1 = inv[0]
     y: dict[int, int] = {}
 
-    def rec(idx: int):
+    def rec(idx: int, silent: int | None):
         if idx == len(order):
             in_range = [y[k] for k in range(1, size + 1)
                         if 1 < rho(k) <= rho_ext(j1 + 1)]
-            if in_range:
-                display = 1 if all(v == 0 for v in in_range) else 0
-                bonuses = (display, 1 - display)
-                vacuous = False
-            else:
-                bonuses = (0, 1)
-                vacuous = True
-            for pos, bonus in enumerate(bonuses):
+            display = 1 if in_range and all(v == 0 for v in in_range) else 0
+            for bonus in (display, 1 - display):
                 y[j1] = digits[j1 - 1] + bonus
-                yield tuple(y[k] for k in range(1, size + 1)), vacuous and pos == 1
-                del y[j1]
+                yield tuple(y[k] for k in range(1, size + 1)), not in_range and bonus == 1, silent
+            del y[j1]
             return
         j = order[idx]
         rank = rho(j)
@@ -199,12 +158,16 @@ def _y_vector_candidates(w: EventuallyPeriodicWord, rho: Permutation):
         ri1, rj1 = rho_ext(i + 1), rho_ext(j + 1)
         some_pos = any(y[k] >= 1 for k in range(1, size + 1)
                        if rank < rho(k) <= rj1 and k in y)
-        for cand in _rank_options(d, rank, ri1, rj1, some_pos):
-            y[j] = cand
-            yield from rec(idx + 1)
-            del y[j]
+        first = _display_value(d, rank, ri1, rj1, some_pos)
+        if first is None:
+            first, silent = d + 1, silent or rank
+        for cand in dict.fromkeys((first, d, d + 1, d - 1, d + 2, 0, 1, 2)):
+            if 0 <= cand <= d + 2:
+                y[j] = cand
+                yield from rec(idx + 1, silent)
+        del y[j]
 
-    yield from rec(0)
+    yield from rec(0, None)
 
 
 def _assemble(rho: Permutation, y: tuple[int, ...]) -> Permutation:
@@ -231,7 +194,7 @@ def construct_state(w: EventuallyPeriodicWord, check_expansion: bool = True) -> 
     q, p, _ = w.padded_form()
     rho = rho_of(w)
     first_candidates = []
-    for count, (y, vacuous) in enumerate(_y_vector_candidates(w, rho)):
+    for count, (y, vacuous, _) in enumerate(_y_vector_candidates(w, rho)):
         if count >= CANDIDATE_CAP:
             break
         pi = _assemble(rho, y)

@@ -78,10 +78,6 @@ class DigitVector:
             return "".join(str(d) for d in self.digits)
         return ",".join(str(d) for d in self.digits)
 
-    def slice_from(self, start: int) -> tuple[int, ...]:
-        """Digits z_start .. z_{n-1} (1-based start)."""
-        return self.digits[start - 1:]
-
 
 def perm(spec) -> Permutation:
     """Coerce a string / iterable of values into a Permutation."""

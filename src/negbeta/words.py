@@ -200,6 +200,12 @@ def format_word(w: EventuallyPeriodicWord) -> str:
     return f"{pre}({per})"
 
 
+def alt_order(a: int, b: int, k: int) -> int:
+    """Order of two words whose first difference is the digits a != b at
+    1-based position k: odd positions compare directly, even ones reversed."""
+    return (LESS if a < b else GREATER) if k % 2 == 1 else (GREATER if a < b else LESS)
+
+
 def alt_lex_compare(v: EventuallyPeriodicWord, w: EventuallyPeriodicWord) -> int:
     """Total order on words: -1, 0 or 1.
 
@@ -212,9 +218,7 @@ def alt_lex_compare(v: EventuallyPeriodicWord, w: EventuallyPeriodicWord) -> int
     for k in range(1, horizon + 1):
         a, b = v.digit(k), w.digit(k)
         if a != b:
-            if k % 2 == 1:
-                return LESS if a < b else GREATER
-            return GREATER if a < b else LESS
+            return alt_order(a, b, k)
     return EQUAL
 
 
@@ -225,9 +229,7 @@ def alt_lex_compare_finite(a, b) -> int:
         raise ValueError("finite comparison needs equal lengths")
     for k, (x, y) in enumerate(zip(a, b), start=1):
         if x != y:
-            if k % 2 == 1:
-                return LESS if x < y else GREATER
-            return GREATER if x < y else LESS
+            return alt_order(x, y, k)
     return EQUAL
 
 
@@ -347,9 +349,7 @@ def compare_with_u(w: EventuallyPeriodicWord, hard_cap: int = 1 << 22) -> int:
         for k in range(1, length + 1):
             a, b = w.digit(k), u[k - 1]
             if a != b:
-                if k % 2 == 1:
-                    return LESS if a < b else GREATER
-                return GREATER if a < b else LESS
+                return alt_order(a, b, k)
         if length > hard_cap:
             raise InvariantError(f"{w} is indistinguishable from u within {hard_cap} digits")
         length *= 2
@@ -372,42 +372,7 @@ def in_vv_prime_star(w: EventuallyPeriodicWord, v) -> bool:
     else:
         lo = canonicalize((), vp)
         hi = canonicalize(v, vp)
-    result = alt_lex_compare(lo, w) != GREATER and alt_lex_compare(w, hi) != GREATER
-    assert result == _factorizes(w, v, vp), "inequality form disagrees with direct factorization"
-    return result
-
-
-def _factorizes(w: EventuallyPeriodicWord, v: Digits, vp: Digits) -> bool:
-    """Direct check that w is a concatenation of v/v' blocks (debug oracle).
-
-    Positions of an eventually periodic word form a finite state space, so the
-    search over block choices is a reachability problem: a position is good if
-    some block matches there and leads to a good position (cycles of matches
-    count as good, they describe an infinite factorization).
-    """
-    q, p = len(w.pre), len(w.per)
-
-    def canon(pos: int) -> int:
-        return pos if pos <= q else q + (pos - q - 1) % p + 1
-
-    def starts_with(pos: int, block: Digits) -> bool:
-        return all(w.digit(pos + i) == block[i] for i in range(len(block)))
-
-    live: dict[int, bool] = {}
-
-    def alive(pos: int, visiting: set) -> bool:
-        pos = canon(pos)
-        if pos in live:
-            return live[pos]
-        if pos in visiting:
-            return True
-        visiting.add(pos)
-        ok = any(starts_with(pos, b) and alive(pos + len(b), visiting) for b in (v, vp))
-        visiting.discard(pos)
-        live[pos] = ok
-        return ok
-
-    return alive(1, set())
+    return alt_lex_compare(lo, w) != GREATER and alt_lex_compare(w, hi) != GREATER
 
 
 def periodization(v) -> EventuallyPeriodicWord:

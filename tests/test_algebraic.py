@@ -269,6 +269,22 @@ def test_classify_unmatched_root_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(algebraic, "_certified_roots", lambda sf, dps=60: [(complex(-0.618034), 1e-6)])
     with pytest.raises(InvariantError):
         classify_perron_pisot(golden)
+    with pytest.raises(InvariantError):
+        conjugate_modulus_margin(golden)
+
+
+def test_algebraic_invariants_raise_typed_errors(monkeypatch):
+    with pytest.raises(InvariantError):  # x^2 + 1 is not a multiple of x + 1
+        algebraic._exact_div((1, 0, 1), (1, 1))
+    with pytest.raises(InvariantError):  # an interval narrow enough to skip bisection
+        AlgebraicNumber(IntPolynomial((-2, 1)), (Fraction(15, 8), Fraction(17, 8))).floor()
+    monkeypatch.setattr(algebraic, "largest_root_gt1", lambda poly: None)
+    with pytest.raises(InvariantError):
+        b_of(word("(2)"))
+    monkeypatch.setattr(algebraic, "largest_root_gt1",
+                        lambda poly: AlgebraicNumber.from_rational(Fraction(7)))
+    with pytest.raises(InvariantError):
+        b_of(word("(2)"))
 
 
 def test_classify_non_monic_is_neither():

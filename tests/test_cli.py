@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,9 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from negbeta import analysis
-from negbeta.cli import parse_beta, run
+from negbeta.cli import _COMMANDS, parse_beta, run
 from negbeta.dynamics import DEFAULT_PRECISION, PrecisionConfig
 from negbeta.errors import MalformedBaseError, NegBetaError
 
@@ -216,3 +219,79 @@ def test_verify_passes_its_precision_to_every_membership_oracle(monkeypatch, cap
     assert json.loads(capsys.readouterr().out)["results"]["passed"] is True
     # one oracle above the threshold, one below and one at it
     assert seen == [PrecisionConfig(start_bits=128, max_bits=512)] * 3
+
+
+def test_expansion_no_period_prints_exactly_the_digits_asked():
+    res = envelope(["expansion", "--beta", "2", "--no-period", "--digits", "10"])["results"]
+    assert res["digits"] == [2] * 10 and res["periodic"] is False and res["word"] is None
+    assert res["orbit_prefix_intervals"] == [["1/1", "1/1"]] * 10
+    # without the flag the period is certified after one digit
+    res = envelope(["expansion", "--beta", "2", "--digits", "10"])["results"]
+    assert res["digits"] == [2] and res["word"] == "(2)"
+
+
+@pytest.mark.parametrize("argv", [["analyze", "12", "--precision", "-5"],
+                                  ["expansion", "--beta", "2", "--precision", "0"],
+                                  ["verify", "21", "--margin", "x"],
+                                  ["verify", "4321", "--margin", "1/0"]])
+def test_bad_precision_and_margin_are_typed_errors(argv):
+    code, _, err = invoke([*argv, "--format", "json"])
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(err)["error"]["reason"] == "error"
+
+
+_PERMS = st.integers(1, 6).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(lambda p: "".join(map(str, p)))
+_JUNK = st.text("0123456789,()-/:xpoly ", max_size=8)
+_WORDS = st.builds(lambda pre, per: "".join(map(str, pre)) + "(" + "".join(map(str, per)) + ")",
+                   st.lists(st.integers(0, 4), max_size=3),
+                   st.lists(st.integers(0, 4), min_size=1, max_size=4))
+_BASES = st.sampled_from(["2", "3", "21/10", "3/2", "7/3", "1", "0", "-2", "1/0", "abc",
+                          "poly:-1,-1,1:1", "poly:-1,-1,1:2", "poly:1,-3,1:1", "poly:0:1",
+                          "poly:-2,1,0,-1,0,-2,1:1"])
+_SIZES = st.integers(-2, 6)
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(sorted(_COMMANDS)))
+    perm, word = draw(st.one_of(_PERMS, _JUNK)), draw(st.one_of(_WORDS, _JUNK))
+    args = {
+        "analyze": [perm],
+        "spectrum": [str(draw(_SIZES))],
+        "count-b1": [str(draw(_SIZES))],
+        "extremal": [str(draw(_SIZES))],
+        "invert": [word],
+        "expansion": ["--beta", draw(_BASES), "--digits", str(draw(st.integers(-2, 50)))]
+                     + draw(st.sampled_from([[], ["--no-period"]])),
+        "member": [word, "--beta", draw(_BASES)],
+        "pat": [word, str(draw(_SIZES))],
+        "realize": [perm] + draw(st.lists(st.sampled_from(["--max-prefix", "--max-period",
+                                                           "--max-alphabet"]), max_size=2)
+                                 .map(lambda flags: [x for f in flags for x in (f, "3")])),
+        "verify": [perm, "--margin", draw(st.sampled_from(
+            ["1/20", "1/100", "1/3", "0", "-1/20", "x", "1/0", "", "nan", "inf"]))],
+    }[cmd]
+    flags = ["--format", "json"]
+    if draw(st.booleans()):
+        flags += ["--precision", str(draw(st.sampled_from([-5, 0, 1, 8, 64, 256, 4096])))]
+    if draw(st.booleans()):
+        flags += ["--jobs", str(draw(st.sampled_from([1, 2])))]
+    if draw(st.booleans()):
+        flags += ["--seed", str(draw(st.integers(-3, 3)))]
+    return flags + [cmd, *args] if draw(st.booleans()) else [cmd, *args, *flags]
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_argv_ends_in_a_documented_exit_code_with_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as stop:  # argparse rejected the argv
+            assert stop.code == 2
+            return
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    json.loads(out.getvalue() if code == 0 else err.getvalue())

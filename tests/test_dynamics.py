@@ -510,6 +510,35 @@ def test_step_reuses_the_orbit_arithmetic_of_its_state(monkeypatch):
     assert len(built) == 2
 
 
+def test_step_rejects_a_state_of_another_base():
+    golden = beta_golden()
+    state = step(golden, initial_state(golden, Fraction(2, 5)))
+    with pytest.raises(NegBetaError):  # a rational base on an algebraic state
+        step(2, state)
+    with pytest.raises(NegBetaError):  # another algebraic base would misreduce the point
+        step(parse_beta(DEGREE_SIX, DEFAULT_PRECISION), state)
+    with pytest.raises(NegBetaError):
+        step(golden, initial_state(2, Fraction(2, 5)))
+    with pytest.raises(NegBetaError):
+        step(3, initial_state(2, Fraction(2, 5)))
+    # the same number given as another object still steps
+    assert step(beta_golden(), state).digits_so_far == expansion_digits(golden, Fraction(2, 5), 2)
+
+
+def test_expansion_without_period_detection_gives_exactly_the_digits_asked():
+    res = expansion_of_one(2, max_digits=10, detect_period=False)
+    assert res.digits == (2,) * 10 and res.word is None and not res.is_periodic
+    golden = expansion_of_one(beta_golden(), max_digits=7, detect_period=False)
+    assert golden.digits == (1,) + (0,) * 6 and golden.word is None
+    assert len(golden.orbit_intervals(32, Fraction(1, 2**128))) == 7
+
+
+def test_precision_config_rejects_nonpositive_bits():
+    for start, top in [(-5, -5), (0, 0), (0, 64), (256, 128)]:
+        with pytest.raises(NegBetaError):
+            dynamics.PrecisionConfig(start_bits=start, max_bits=top)
+
+
 _INVARIANT_PATHS = """
 import dataclasses
 from fractions import Fraction

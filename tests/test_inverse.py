@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from negbeta.analysis import analyze
 from negbeta.dynamics import validate_expansion
 from negbeta.errors import NegBetaError
-from negbeta.inverse import construct_pi, construct_state, rho_of, y_digits
-from negbeta.words import word, words_over
+from negbeta.inverse import _display_value, construct_pi, construct_state, rho_of, y_digits
+from negbeta.words import canonicalize, word, words_over
 
 
 def test_rho_of_pure_integer_expansion():
@@ -117,3 +119,68 @@ def _safe_validate(w):
         return validate_expansion(w)
     except NegBetaError:
         return False
+
+
+def _literal_y_digits(w, rho, vacuous_bonus):
+    """The printed display read literally, rank by rank from the top: the
+    reference for y_digits(strict=True)."""
+    q, p, digits = w.padded_form()
+    size = p + q
+    inv = rho.inverse()
+
+    def rho_ext(k):
+        return rho(k) if k <= size else rho(q + 1)
+
+    y = {}
+    for rank in range(size, 1, -1):
+        j = inv[rank - 1]
+        i = inv[rank - 2]
+        d = digits[j - 1] - digits[i - 1]
+        ri1, rj1 = rho_ext(i + 1), rho_ext(j + 1)
+        some_pos = any(y[k] >= 1 for k in range(1, size + 1)
+                       if rank < rho(k) <= rj1 and k in y)
+        val = _display_value(d, rank, ri1, rj1, some_pos)
+        if val is None:
+            raise NegBetaError(f"no insertion rule matches at rank {rank} for {w}")
+        y[j] = val
+    j1 = inv[0]
+    in_range = [y[k] for k in range(1, size + 1) if 1 < rho(k) <= rho_ext(j1 + 1)]
+    if in_range:
+        bonus = 1 if all(v == 0 for v in in_range) else 0
+    else:
+        bonus = 1 if vacuous_bonus else 0
+    y[j1] = digits[j1 - 1] + bonus
+    return tuple(y[j] for j in range(1, size + 1))
+
+
+def _words_up_to_five_letters():
+    # every canonical word with preperiod plus period at most 5 over 0..3,
+    # a superset of the criterion-7 expansion corpus
+    out = {}
+    for size in range(1, 6):
+        for digits in itertools.product(range(4), repeat=size):
+            for q in range(size):
+                w = canonicalize(digits[:q], digits[q:])
+                out[(w.pre, w.per)] = w
+    return list(out.values())
+
+
+def test_strict_y_digits_is_the_literal_display_reading():
+    seen = {"silent": 0, "vacuous": 0}
+    for w in _words_up_to_five_letters():
+        try:
+            rho = rho_of(w)
+        except NegBetaError:
+            continue
+        for bonus in (False, True):
+            try:
+                expected = _literal_y_digits(w, rho, bonus)
+            except NegBetaError:
+                seen["silent"] += 1
+                with pytest.raises(NegBetaError):
+                    y_digits(w, rho, vacuous_bonus=bonus)
+                continue
+            assert y_digits(w, rho, vacuous_bonus=bonus) == expected, (str(w), bonus)
+            if bonus and expected != _literal_y_digits(w, rho, False):
+                seen["vacuous"] += 1
+    assert seen["silent"] and seen["vacuous"]

@@ -266,18 +266,56 @@ def test_vv_prime_membership():
         in_vv_prime_star(word("(12)"), "2")
 
 
+def factorizes(w, v, vp) -> bool:
+    """Direct check that w is a concatenation of v/v' blocks (the reference
+    for the inequality form of in_vv_prime_star).
+
+    Positions of an eventually periodic word form a finite state space, so the
+    search over block choices is a reachability problem: a position is good if
+    some block matches there and leads to a good position (cycles of matches
+    count as good, they describe an infinite factorization).
+    """
+    q, p = len(w.pre), len(w.per)
+
+    def canon(pos: int) -> int:
+        return pos if pos <= q else q + (pos - q - 1) % p + 1
+
+    def starts_with(pos: int, block) -> bool:
+        return all(w.digit(pos + i) == block[i] for i in range(len(block)))
+
+    live: dict[int, bool] = {}
+
+    def alive(pos: int, visiting: set) -> bool:
+        pos = canon(pos)
+        if pos in live:
+            return live[pos]
+        if pos in visiting:
+            return True
+        visiting.add(pos)
+        ok = any(starts_with(pos, b) and alive(pos + len(b), visiting) for b in (v, vp))
+        visiting.discard(pos)
+        live[pos] = ok
+        return ok
+
+    return alive(1, set())
+
+
 @given(canonical_words(max_digit=2, pre_max=3, per_max=3),
        st.lists(st.integers(0, 2), min_size=1, max_size=3))
 @settings(max_examples=300)
 def test_vv_prime_inequality_matches_factorization(w, v):
     v = tuple(v)
-    if v == (0,) * len(v) and v[-1] == 0 and len(v) == 1:
+    if v == (0,):
+        with pytest.raises(UndefinedDerivedWordError):
+            in_vv_prime_star(sup_of_shifts(w), v)
         return
     s = sup_of_shifts(w)
-    try:
-        in_vv_prime_star(s, v)  # the internal assertion crosses both routes
-    except UndefinedDerivedWordError:
-        pass
+    assert in_vv_prime_star(s, v) == factorizes(s, v, derived_word(v))
+
+
+def test_vv_prime_factorization_reference_sees_both_answers():
+    assert factorizes(word("(210)"), (2,), derived_word((2,)))
+    assert not factorizes(word("(2)"), (1,), derived_word((1,)))
 
 
 # --- parsing and printing ----------------------------------------------------------
