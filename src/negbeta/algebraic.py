@@ -5,6 +5,12 @@ Root isolation is exact: Sturm chains over the integers locate roots in
 half-open rational intervals, rational roots are detected by the rational
 root test, and irrational roots are refined by sign bisection on the
 squarefree part (so every isolating interval carries a sign change).
+
+The threshold base needs only the largest root above 1.  ``largest_root_gt1``
+walks the midpoint grid that ``isolate_real_roots`` bisects down to the piece
+holding that root alone, and finishes it with the same steps, so its
+interval is exactly the last one the full isolation returns and every refined
+interval is unchanged.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 import mpmath
+from mpmath.libmp import to_rational
 
 from . import words
 from .errors import InvariantError, MalformedBaseError, SupNotFixedError
@@ -404,26 +411,27 @@ class AlgebraicNumber:
         return f"{sign}{n // scale}.{n % scale:0{places}d}"
 
     def compare(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            other = AlgebraicNumber.from_rational(Fraction(other))
         if self.equals(other):
             return 0
+        rational = isinstance(other, (int, Fraction))
         lo1, hi1 = self.interval
-        lo2, hi2 = other.interval
+        lo2, hi2 = (other, other) if rational else other.interval
         tol = Fraction(1, 2)
         while not (hi1 < lo2 or hi2 < lo1):
             tol /= 2**8
             lo1, hi1 = self.refine(tol)
-            lo2, hi2 = other.refine(tol)
+            if not rational:
+                lo2, hi2 = other.refine(tol)
         return -1 if hi1 < lo2 else 1
 
     def equals(self, other) -> bool:
         """Exact equality: the gcd of the defining polynomials must have a
         root in the overlap of the isolating intervals.  Disjoint current
         intervals already prove the numbers differ, with no gcd and no
-        refinement."""
+        refinement.  A plain rational needs no gcd: it is the root exactly
+        when it lies in the interval and the squarefree part vanishes there."""
         if isinstance(other, (int, Fraction)):
-            other = AlgebraicNumber.from_rational(Fraction(other))
+            return self._equals_rational(Fraction(other))
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact
         if self.interval[1] < other.interval[0] or other.interval[1] < self.interval[0]:
@@ -437,6 +445,17 @@ class AlgebraicNumber:
         if lo > hi:
             return False
         return count_real_roots(g, lo, hi) > 0 or _sign_at(g, lo) == 0
+
+    def _equals_rational(self, r: Fraction) -> bool:
+        if self.exact is not None:
+            return self.exact == r
+        lo, hi = self.interval
+        if not lo <= r <= hi or _sign_at(self._sf, r) != 0:
+            return False
+        # refine as a comparison of two roots does, so the interval ends
+        # up the same whichever way the number was compared
+        lo, hi = self.refine(Fraction(1, 2**24))
+        return lo <= r <= hi
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicNumber)):
@@ -483,62 +502,79 @@ def _rational_roots(a: Coeffs) -> list[Fraction]:
             d += 1
         return sorted(set(out))
 
+    # p/q in lowest terms covers every candidate once; the sign test is exact
     for p in divisors(a0):
         for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _eval_fraction(a, cand) == 0 and cand not in roots:
-                    roots.append(cand)
+            if int_gcd(p, q) == 1:
+                roots.extend(Fraction(s, q) for s in (p, -p) if _sign_hom(a, s, q) == 0)
     return sorted(roots)
+
+
+class _Isolation:
+    """The shared setup of root isolation on (lo, hi]: the squarefree part,
+    its rational roots (kept exact), the part left after dividing them out
+    and that part's Sturm chain, which the bisection grid is counted with."""
+
+    def __init__(self, poly: IntPolynomial, lo: Fraction, hi: Fraction):
+        self.poly = poly
+        self.sf = sf = _squarefree_part(poly.coefficients)
+        all_rats = _rational_roots(sf) if len(sf) > 1 else []
+        self.rats = [r for r in all_rats if lo < r <= hi]
+        # Deflate every rational root so bisection only ever sees irrational ones.
+        deflated = sf
+        for r in all_rats:
+            deflated = _exact_div(deflated, (-r.numerator, r.denominator))
+        self.deflated = deflated
+        self.chain = sturm_chain(deflated) if len(deflated) > 1 else []
+
+    def var(self, x: Fraction) -> int:
+        return _variations_at(self.chain, x)
+
+    def exact_roots(self) -> list[AlgebraicNumber]:
+        return [AlgebraicNumber(self.poly, (r, r), exact=r, _sf=self.sf) for r in self.rats]
+
+    def root_in(self, a: Fraction, b: Fraction) -> AlgebraicNumber:
+        """The irrational root of a grid interval (a, b] holding exactly one."""
+        # shrink until the endpoints see a strict sign change
+        deflated = self.deflated
+        while _sign_at(deflated, a) == 0 or _sign_at(deflated, b) == 0 or \
+                _sign_at(deflated, a) == _sign_at(deflated, b):
+            mid = (a + b) / 2
+            if self.var(a) - self.var(mid) == 1:
+                b = mid
+            else:
+                a = mid
+        root = AlgebraicNumber(self.poly, (a, b), _sf=deflated)
+        # An exact rational point may fall inside the interval; shrink it
+        # until the ordering by midpoint is faithful.
+        for r in self.rats:
+            while root.interval[0] <= r <= root.interval[1]:
+                root.refine((root.interval[1] - root.interval[0]) / 4)
+        return root
+
+
+def _by_midpoint(root: AlgebraicNumber) -> Fraction:
+    return (root.interval[0] + root.interval[1]) / 2
 
 
 def isolate_real_roots(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> list[AlgebraicNumber]:
     """Disjoint isolating intervals for every real root in (lo, hi],
-    in increasing order.  Rational roots come back exact."""
-    sf = _squarefree_part(poly.coefficients)
-    if len(sf) <= 1:
-        return []
-    all_rats = _rational_roots(sf)
-    rats = [r for r in all_rats if lo < r <= hi]
-    # Deflate every rational root so bisection only ever sees irrational ones.
-    deflated = sf
-    for r in all_rats:
-        deflated = _exact_div(deflated, (-r.numerator, r.denominator))
-    out = [AlgebraicNumber(poly, (r, r), exact=r, _sf=sf) for r in rats]
-    if len(deflated) > 1:
-        chain = sturm_chain(deflated)
-
-        def var(x: Fraction) -> int:
-            return _variations_at(chain, x)
-
-        stack = [(lo, hi, var(lo) - var(hi))]
+    in increasing order.  Rational roots come back exact.  Irrational roots
+    come from bisecting (lo, hi] at midpoints until a piece holds one root."""
+    iso = _Isolation(poly, lo, hi)
+    out = iso.exact_roots()
+    if iso.chain:
+        stack = [(lo, hi, iso.var(lo) - iso.var(hi))]
         while stack:
             a, b, count = stack.pop()
-            if count == 0:
-                continue
             if count == 1:
-                # shrink until the endpoints see a strict sign change
-                aa, bb = a, b
-                while _sign_at(deflated, aa) == 0 or _sign_at(deflated, bb) == 0 or \
-                        _sign_at(deflated, aa) == _sign_at(deflated, bb):
-                    mid = (aa + bb) / 2
-                    if var(aa) - var(mid) == 1:
-                        bb = mid
-                    else:
-                        aa = mid
-                out.append(AlgebraicNumber(poly, (aa, bb), _sf=deflated))
-                continue
-            mid = (a + b) / 2
-            vm = var(mid)
-            stack.append((a, mid, var(a) - vm))
-            stack.append((mid, b, vm - var(b)))
-    # Exact rational points may fall inside an irrational root's interval;
-    # shrink those intervals until the ordering by midpoint is faithful.
-    for root in out:
-        if root.exact is None:
-            for r in rats:
-                while root.interval[0] <= r <= root.interval[1]:
-                    root.refine((root.interval[1] - root.interval[0]) / 4)
-    out.sort(key=lambda r: (r.interval[0] + r.interval[1]) / 2)
+                out.append(iso.root_in(a, b))
+            elif count > 1:
+                mid = (a + b) / 2
+                vm = iso.var(mid)
+                stack.append((a, mid, iso.var(a) - vm))
+                stack.append((mid, b, vm - iso.var(b)))
+    out.sort(key=_by_midpoint)
     return out
 
 
@@ -557,9 +593,25 @@ def largest_root_gt1(poly: IntPolynomial) -> AlgebraicNumber | None:
         raise MalformedBaseError("the zero polynomial has no largest root")
     if poly.degree < 1:
         return None
-    hi = root_upper_bound(poly)
-    roots = isolate_real_roots(poly, Fraction(1), hi)
-    return roots[-1] if roots else None
+    lo, hi = Fraction(1), root_upper_bound(poly)
+    iso = _Isolation(poly, lo, hi)
+    roots = iso.exact_roots()[-1:]
+    if iso.chain:
+        # Walk down the bisection grid of isolate_real_roots towards its
+        # greatest root: the upper half whenever it holds one, so the piece
+        # where the walk stops is the one the full isolation ends with.
+        v_hi = iso.var(hi)
+        count = iso.var(lo) - v_hi
+        while count > 1:
+            mid = (lo + hi) / 2
+            v_mid = iso.var(mid)
+            if v_mid > v_hi:
+                lo, count = mid, v_mid - v_hi
+            else:
+                hi, v_hi = mid, v_mid
+        if count:
+            roots.append(iso.root_in(lo, hi))
+    return max(roots, key=_by_midpoint, default=None)
 
 
 def b_of(w: EventuallyPeriodicWord):
@@ -605,19 +657,30 @@ NEITHER = "neither"
 def _certified_roots(sf: Coeffs, dps: int = 60):
     """Approximate all complex roots of a squarefree integer polynomial with
     certified enclosure radii (distance to the nearest true root is at most
-    deg * |P(r)/P'(r)| for each approximation r)."""
+    deg * |P(r)/P'(r)| for each approximation r).  |P(r)| is taken with the
+    rounding error Horner's rule can make at the working precision, so a
+    radius never claims more than that precision resolves."""
     with mpmath.workdps(dps):
         coeffs = [mpmath.mpf(c) for c in reversed(sf)]
         roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
         deg = len(sf) - 1
         der = _deriv(sf)
+        rounding = 4 * (deg + 1) * mpmath.eps
         out = []
         for r in roots:
             pr = mpmath.polyval(coeffs, r)
             dpr = mpmath.polyval([mpmath.mpf(c) for c in reversed(der)], r)
-            rad = deg * abs(pr) / abs(dpr)
+            pr_bound = abs(pr) + rounding * mpmath.polyval([abs(c) for c in coeffs], abs(r))
+            rad = deg * pr_bound / abs(dpr)
             out.append((mpmath.mpc(r), mpmath.mpf(rad)))
         return out
+
+
+def _mpf_fraction(x) -> Fraction:
+    """The exact value of a finite binary float, mpmath's or Python's."""
+    if isinstance(x, mpmath.mpf):
+        return Fraction(*to_rational(x._mpf_))
+    return Fraction(x)
 
 
 def _conjugates(num: AlgebraicNumber) -> list:
@@ -627,7 +690,10 @@ def _conjugates(num: AlgebraicNumber) -> list:
     conjugates = []
     self_seen = False
     for z, rad in _certified_roots(num._sf):
-        if not self_seen and abs(z.imag) < rad + 1e-30 and float(lo) - float(rad) <= z.real <= float(hi) + float(rad):
+        # exact comparison: the interval may be narrower than a double
+        # resolves, and the enclosure's binary endpoints are rationals
+        r = _mpf_fraction(rad)
+        if not self_seen and abs(z.imag) < rad + 1e-30 and lo - r <= _mpf_fraction(z.real) <= hi + r:
             self_seen = True
             continue
         conjugates.append((z, rad))

@@ -224,8 +224,8 @@ def analyze(pi) -> AnalysisReport:
         exponent = _b1_exponent(a)
         floor_b = 1
     else:
-        poly = char_polynomial(a)
         b = b_of(a)
+        poly = b.polynomial
         exponent = None
         floor_b = b.floor()
     if sk.n_minus != floor_b + 1:
@@ -324,7 +324,7 @@ def spectrum(n: int) -> list[SpectrumGroup]:
             continue
         b = b_of(a)
         b.refine(Fraction(1, 2**24))
-        roots.append((b, char_polynomial(a), members))
+        roots.append((b, b.polynomial, members))
     roots.sort(key=lambda root: root[0].interval[0])
     groups: list[SpectrumGroup] = []
     cluster: list[SpectrumGroup] = []

@@ -258,14 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _env_precision() -> int:
+    text = os.environ.get(ENV_PRECISION)
+    if not text:
+        return 4096
+    try:
+        return int(text)
+    except ValueError:
+        raise NegBetaError(f"{ENV_PRECISION} must be an integer, got {text!r}") from None
+
+
 def run(argv: list[str]) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     bits = args.precision
-    if bits is None and os.environ.get(ENV_PRECISION):
-        bits = int(os.environ[ENV_PRECISION])
-    if bits is None:
-        bits = 4096
     started = time.monotonic()
     envelope = {
         "schema": SCHEMA,
@@ -274,6 +280,8 @@ def run(argv: list[str]) -> int:
         "seed": args.seed,
     }
     try:
+        if bits is None:
+            bits = envelope["precision_bits"] = _env_precision()
         precision = PrecisionConfig(start_bits=min(128, bits), max_bits=bits)
         rendered = _COMMANDS[args.command](args, precision)
     except NegBetaError as err:

@@ -29,7 +29,6 @@ from .algebraic import (
 from .errors import (
     InvariantError,
     NegBetaError,
-    SupNotFixedError,
     UndecidableAtPrecisionError,
 )
 from .words import EventuallyPeriodicWord, canonicalize
@@ -600,11 +599,10 @@ def validate_expansion(w: EventuallyPeriodicWord,
     plus period steps, require every digit to match and the orbit to close up
     exactly.
     """
-    if not words.is_sup_fixed(w):
-        raise SupNotFixedError(f"{w} is not the sup of its shifts")
-    if words.compare_with_u(w) <= 0:
+    b = b_of(w)
+    if b == 1:
         raise NegBetaError(f"{w} lies below the substitution fixed point; its base is 1")
-    beta = BetaValue.of(b_of(w))
+    beta = BetaValue.of(b)
     arith = _arith_for(beta, precision)
     q, p = w.preperiod_length, w.period_length
     pts = [arith.one()]

@@ -114,6 +114,97 @@ def test_mixed_rational_and_irrational_roots_ordered():
     assert roots[0].equals(golden)
 
 
+def _largest_by_full_isolation(poly):
+    """Oracle: isolate every root in (1, Cauchy bound] and keep the last one."""
+    roots = isolate_real_roots(poly, Fraction(1), root_upper_bound(poly))
+    return roots[-1] if roots else None
+
+
+def _same_root(got, want, tol=Fraction(1, 2**64)):
+    assert got.polynomial == want.polynomial and got._sf == want._sf
+    assert got.exact == want.exact
+    assert got.refine(tol) == want.refine(tol) and got.exact == want.exact
+
+
+def _threshold_words(n_max):
+    from negbeta.analysis import _is_b1
+    from negbeta.permutations import a_sequence, all_permutations
+
+    found = {a_sequence(pi) for n in range(2, n_max + 1) for pi in all_permutations(n)}
+    return sorted((a for a in found if not _is_b1(a)), key=str)
+
+
+def test_b_of_matches_the_full_isolation_on_every_threshold_word():
+    threshold_words = _threshold_words(7)
+    assert len(threshold_words) == 1353
+    for a in threshold_words:
+        poly = char_polynomial(a)
+        want = _largest_by_full_isolation(poly)
+        assert largest_root_gt1(poly).interval == want.interval
+        _same_root(b_of(a), want)
+
+
+# integer polynomials of degree up to 10, some with rational or repeated factors
+_FACTORS = [(1,), (-2, 1), (-3, 2), (-5, 3), (3, 2), (-1, -1, 1), (-7, 0, 2)]
+_polys = st.builds(
+    lambda c, f, square: _mul(_mul(tuple(c), f), f if square else (1,)),
+    st.lists(st.integers(-12, 12), min_size=2, max_size=7).filter(lambda c: c[-1] != 0),
+    st.sampled_from(_FACTORS), st.booleans())
+
+
+@given(_polys)
+@settings(max_examples=200, deadline=None)
+def test_largest_root_matches_the_full_isolation(coeffs):
+    poly = IntPolynomial(coeffs)
+    got, want = largest_root_gt1(poly), _largest_by_full_isolation(poly)
+    if want is None:
+        assert got is None
+        return
+    assert got.interval == want.interval
+    _same_root(got, want)
+
+
+def test_largest_root_gt1_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    @given(_polys)
+    @settings(max_examples=100, deadline=None)
+    def check(coeffs):
+        roots = [r for r in sympy.real_roots(sympy.Poly(list(reversed(coeffs)), x)) if r > 1]
+        got = largest_root_gt1(IntPolynomial(coeffs))
+        if not roots:
+            assert got is None
+            return
+        top = max(roots)
+        if top.is_Rational:
+            assert got.exact == Fraction(int(top.p), int(top.q))
+            return
+        assert got.exact is None
+        lo, hi = got.refine(Fraction(1, 2**40))
+        assert sympy.Rational(lo.numerator, lo.denominator) < top
+        assert top < sympy.Rational(hi.numerator, hi.denominator)
+
+    check()
+
+
+def test_comparing_with_a_plain_rational_needs_no_gcd(monkeypatch):
+    golden = largest_root_gt1(poly_from_descending(1, -1, -1))
+    third = AlgebraicNumber(IntPolynomial(_mul((-3, 2), (-3, 0, 1))), (Fraction(5, 4), Fraction(13, 8)))
+    half = AlgebraicNumber(IntPolynomial(_mul((-3, 2), (-5, 0, 1))), (Fraction(1), Fraction(2)))
+    calls = _count_gcds(monkeypatch)
+    assert golden.compare(2) < 0 and golden.compare(Fraction(8, 5)) > 0
+    assert not golden.equals(Fraction(13, 8)) and golden != 1
+    # roots whose defining polynomial keeps the rational factor 2x - 3: the
+    # comparison refines as one of two roots would, landing on 3/2 when it
+    # is a midpoint of the bisection
+    assert third.equals(Fraction(3, 2)) and third.exact is None
+    lo, hi = third.interval
+    assert lo < Fraction(3, 2) < hi and hi - lo <= Fraction(1, 2**24)
+    assert half.compare(Fraction(3, 2)) == 0 and half.exact == Fraction(3, 2)
+    assert calls == []
+
+
 def test_algebraic_equality_across_defining_polynomials():
     a = largest_root_gt1(poly_from_descending(1, -1, -1))
     b = largest_root_gt1(poly_from_descending(1, 0, -2, -1))  # x^3 - 2x - 1 = (x^2-x-1)(x+1)
@@ -261,6 +352,22 @@ def test_classify_perron_not_pisot():
     # modulus sqrt(2/1.695) > 1, so Perron but not Pisot
     r = largest_root_gt1(poly_from_descending(1, -1, 0, -2))
     assert classify_perron_pisot(r) == PERRON_NOT_PISOT
+
+
+@pytest.mark.parametrize("make", [
+    lambda: largest_root_gt1(poly_from_descending(1, -1, -1)),
+    lambda: largest_root_gt1(poly_from_descending(1, -1, 0, -2)),
+    lambda: largest_root_gt1(poly_from_descending(2, -2, -1)),
+    lambda: b_of(word("21(0)")),
+])
+@pytest.mark.parametrize("bits", [64, 80, 300, 1000])
+def test_a_refined_root_classifies_like_a_fresh_one(make, bits):
+    # the root must be matched among the enclosures even when its interval
+    # is narrower than a double resolves
+    refined = make()
+    refined.refine(Fraction(1, 2**bits))
+    assert classify_perron_pisot(refined) == classify_perron_pisot(make())
+    assert conjugate_modulus_margin(refined) == conjugate_modulus_margin(make())
 
 
 def test_classify_unmatched_root_is_a_typed_error(monkeypatch):

@@ -327,6 +327,28 @@ def test_spectrum_seven_is_pinned():
         "b998a4aa506f196432c1bb0411604201820b61cabbfb300c6fb24769369ddff8"
 
 
+def test_spectrum_eight_is_pinned():
+    # sha256 of the groups' JSON as computed when each threshold base was
+    # taken as the last of all isolated roots
+    text = json.dumps([g.to_json() for g in spectrum(8)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "185ee6a3d0e25a1b31de866575916a1c4c649c4b10a40e82185200db05a0dd61"
+
+
+def test_analyze_n14_gcd_and_rational_lift_budget(monkeypatch):
+    # the squarefree part of the characteristic polynomial is the only gcd;
+    # comparing the root with its digit bound lifts no rational to a root
+    gcds, lifts = [], []
+    real_gcd = algebraic._poly_gcd
+    monkeypatch.setattr(algebraic, "_poly_gcd", lambda *a: gcds.append(a) or real_gcd(*a))
+    real_lift = algebraic.AlgebraicNumber.from_rational.__func__
+    monkeypatch.setattr(algebraic.AlgebraicNumber, "from_rational",
+                        classmethod(lambda cls, v: lifts.append(v) or real_lift(cls, v)))
+    report = analyze("14,3,12,1,9,6,13,2,8,11,4,10,7,5")
+    assert report.b_minus.decimal(12) == "6.812708576275"
+    assert (len(gcds), len(lifts)) == (1, 0)
+
+
 def test_spectrum_six_gcd_budget(monkeypatch):
     # the all-pairs grouping ran 33942 gcds here; word buckets and the sorted
     # sweep need fewer than a thousand

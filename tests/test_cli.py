@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -230,6 +231,13 @@ def test_expansion_no_period_prints_exactly_the_digits_asked():
     assert res["digits"] == [2] and res["word"] == "(2)"
 
 
+@pytest.mark.parametrize("value", ["abc", "12.5", "-5"])
+def test_malformed_precision_variable_is_a_typed_error(value):
+    code, _, err = invoke(["analyze", "12", "--format", "json"], env={"NEGBETA_PRECISION": value})
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(err)["error"]["reason"] == "error"
+
+
 @pytest.mark.parametrize("argv", [["analyze", "12", "--precision", "-5"],
                                   ["expansion", "--beta", "2", "--precision", "0"],
                                   ["verify", "21", "--margin", "x"],
@@ -282,11 +290,19 @@ def _argvs(draw):
     return flags + [cmd, *args] if draw(st.booleans()) else [cmd, *args, *flags]
 
 
-@given(_argvs())
+# values of the precision environment variable; None leaves it unset
+_ENV_PRECISIONS = st.sampled_from([None, "", "64", "512", "0", "-5", "abc", "1e3", "12.5"])
+
+
+@given(_argvs(), _ENV_PRECISIONS)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_fuzzed_argv_ends_in_a_documented_exit_code_with_json(argv):
+def test_fuzzed_argv_ends_in_a_documented_exit_code_with_json(argv, env_precision):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    env = {} if env_precision is None else {"NEGBETA_PRECISION": env_precision}
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        if env_precision is None:
+            os.environ.pop("NEGBETA_PRECISION", None)
         try:
             code = run(argv)
         except SystemExit as stop:  # argparse rejected the argv
