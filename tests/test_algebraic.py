@@ -190,18 +190,24 @@ def test_largest_root_gt1_against_sympy():
 
 def test_comparing_with_a_plain_rational_needs_no_gcd(monkeypatch):
     golden = largest_root_gt1(poly_from_descending(1, -1, -1))
-    third = AlgebraicNumber(IntPolynomial(_mul((-3, 2), (-3, 0, 1))), (Fraction(5, 4), Fraction(13, 8)))
-    half = AlgebraicNumber(IntPolynomial(_mul((-3, 2), (-5, 0, 1))), (Fraction(1), Fraction(2)))
+    off_grid = AlgebraicNumber(IntPolynomial(_mul((-3, 2), (-3, 0, 1))), (Fraction(5, 4), Fraction(13, 8)))
+    on_grid = AlgebraicNumber(IntPolynomial(_mul((-3, 2), (-5, 0, 1))), (Fraction(1), Fraction(2)))
     calls = _count_gcds(monkeypatch)
+    # a convergent of the golden ratio, within 2^-26 of it: inside the
+    # interval, yet not the root, which one sign shows without refining
+    before = golden.interval
+    close = Fraction(10946, 6765)
+    assert before[0] <= close <= before[1] and not golden.equals(close)
+    assert golden.interval == before
     assert golden.compare(2) < 0 and golden.compare(Fraction(8, 5)) > 0
     assert not golden.equals(Fraction(13, 8)) and golden != 1
     # roots whose defining polynomial keeps the rational factor 2x - 3: the
     # comparison refines as one of two roots would, landing on 3/2 when it
     # is a midpoint of the bisection
-    assert third.equals(Fraction(3, 2)) and third.exact is None
-    lo, hi = third.interval
+    assert off_grid.equals(Fraction(3, 2)) and off_grid.exact is None
+    lo, hi = off_grid.interval
     assert lo < Fraction(3, 2) < hi and hi - lo <= Fraction(1, 2**24)
-    assert half.compare(Fraction(3, 2)) == 0 and half.exact == Fraction(3, 2)
+    assert on_grid.compare(Fraction(3, 2)) == 0 and on_grid.exact == Fraction(3, 2)
     assert calls == []
 
 

@@ -189,9 +189,9 @@ def test_validate_expansion_examples():
 
 
 def test_validate_expansion_rejects_low_words():
-    with pytest.raises(SupNotFixedError):
+    with pytest.raises(SupNotFixedError, match="is not the sup of its shifts"):
         validate_expansion(word("(12)"))
-    with pytest.raises(NegBetaError):
+    with pytest.raises(NegBetaError, match="lies below the substitution fixed point; its base is 1"):
         validate_expansion(word("(100)"))
 
 
