@@ -7,16 +7,24 @@ root test, and irrational roots are refined by sign bisection on the
 squarefree part (so every isolating interval carries a sign change).
 
 The threshold base needs only the largest root above 1.  ``largest_root_gt1``
-walks the midpoint grid that ``isolate_real_roots`` bisects down to the piece
-holding that root alone, and finishes it with the same steps, so its
-interval is exactly the last one the full isolation returns and every refined
-interval is unchanged.
+walks the midpoint grid that ``isolate_real_roots`` bisects from the top and
+decides each piece by Descartes' rule of signs, with no Sturm chain: no sign
+variation, no root; one, exactly one root; more, split the piece.  Its piece
+lies inside the one the full isolation ends with, so every interval refined
+to a fixed width is unchanged.  ``b_of`` first certifies the digit bound
+d + 1 by Descartes' rule and then skips the grid above it.
+
+``refine`` lands on the cell of the bisection grid that bisection would
+reach: once Descartes' rule shows the interval holds exactly one root,
+fixed-point Newton steps find the cell and the exact signs at its ends
+certify it; anything uncertified falls back to bisection.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -24,7 +32,7 @@ import mpmath
 from mpmath.libmp import to_rational
 
 from . import words
-from .errors import InvariantError, MalformedBaseError, SupNotFixedError
+from .errors import InvariantError, MalformedBaseError, NegBetaError, SupNotFixedError
 from .words import EventuallyPeriodicWord
 
 Coeffs = tuple[int, ...]  # ascending degree
@@ -93,13 +101,19 @@ def _over_common_denominator(xs) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def _sign_hom(a: Coeffs, p: int, q: int) -> int:
-    """Sign of sum a_i p^i q^(n-i), which is the sign of a(p/q) for q > 0."""
+def _hom(a: Coeffs, p: int, q: int) -> int:
+    """sum a_i p^i q^(n-i), which is q^n a(p/q)."""
     acc = 0
     qpow = 1
     for c in reversed(a):
         acc = acc * p + c * qpow
         qpow *= q
+    return acc
+
+
+def _sign_hom(a: Coeffs, p: int, q: int) -> int:
+    """Sign of a(p/q) for q > 0."""
+    acc = _hom(a, p, q)
     return (acc > 0) - (acc < 0)
 
 
@@ -190,6 +204,117 @@ def _exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
     if any(rem):
         raise InvariantError("polynomial division was not exact")
     return _primitive(_strip(_over_common_denominator(out)[0]))
+
+
+# --- Descartes' rule of signs ------------------------------------------------
+
+def _taylor_shift(a, c: int) -> list[int]:
+    """Coefficients of a(x + c)."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
+
+
+def _variations(a) -> int:
+    """Sign variations of a coefficient sequence, zeros skipped."""
+    count = last = 0
+    for x in a:
+        if x:
+            if (x > 0) != (last > 0) and last:
+                count += 1
+            last = x
+    return count
+
+
+def _on_unit(a: Coeffs, L: int, H: int, den: int) -> list[int]:
+    """An integer polynomial whose roots in (0, 1) are the roots of a in
+    (L/den, H/den), mapped by x -> L/den + x (H - L)/den."""
+    n = len(a) - 1
+    w = H - L
+    shifted = _taylor_shift([c * den ** (n - i) for i, c in enumerate(a)], L)
+    return [c * w**i for i, c in enumerate(shifted)]
+
+
+def _unit_variations(p) -> int:
+    """Descartes' bound on the roots of p in (0, 1), exact when 0 or 1: the
+    sign variations of (x + 1)^n p(1 / (x + 1))."""
+    return _variations(_taylor_shift(p[::-1], 1))
+
+
+# --- landing on the bisection grid ------------------------------------------
+
+_LAND_FROM = 4  # grid levels bisected before the Newton steps take over
+
+
+def _bisect(sf: Coeffs, L: int, H: int, den: int, s_lo: int, levels: int) -> tuple[int, int, int]:
+    """`levels` bisections of (L/den, H/den) on integer numerators; halving
+    doubles den, so the midpoints are the same rationals.  The sign of sf at
+    the lower end is s_lo.  A midpoint where sf vanishes comes back as L == H."""
+    for _ in range(levels):
+        mid, den = L + H, 2 * den
+        L, H = 2 * L, 2 * H
+        s_mid = _sign_hom(sf, mid, den)
+        if s_mid == 0:
+            return mid, mid, den
+        if s_mid == s_lo:
+            L = mid
+        else:
+            H = mid
+    return L, H, den
+
+
+def _land(sf: Coeffs, L: int, H: int, den: int, s_lo: int, levels: int) -> tuple[int, int, int, int]:
+    """The cell that `levels` bisections of (L/den, H/den) reach, found
+    with Newton steps; returns (L', H', den', levels left to bisect).
+
+    The open interval must hold exactly one root of sf, with the sign s_lo at
+    its lower end and -s_lo at its upper end.  Bisection from it then passes
+    through exactly the grid cells that hold the root, so the cell of the
+    last level whose two ends have the exact signs s_lo and -s_lo is the one
+    bisection reaches.  After _LAND_FROM plain bisections, fixed-point Newton
+    steps in integers double the level each; the cell under the last
+    estimate (or a neighbour) is then certified by those two signs.  When it
+    does not certify, the cell of the plain bisections comes back with the
+    levels still to bisect.  A cell end where sf vanishes is the root itself,
+    returned as L' == H'.
+    """
+    L, H, den = _bisect(sf, L, H, den, s_lo, _LAND_FROM)
+    if L == H:
+        return L, H, den, 0
+    dsf = _deriv(sf)
+    w, s_hi = H - L, -s_lo
+    x, scale = 2 * L + w, 2 * den  # the estimate x / scale, first the cell's midpoint
+    done = _LAND_FROM
+    while done < levels:
+        done += min(done, levels - done)
+        finer = den << (done - _LAND_FROM)
+        x, scale = x * (finer // scale), finer
+        slope = _hom(dsf, x, scale)
+        if not slope:
+            return L, H, den, levels - _LAND_FROM
+        x -= _hom(sf, x, scale) // slope
+    # the cells of the last level are (base + i w, base + (i + 1) w) / scale
+    base = L << (levels - _LAND_FROM)
+    i = min(max((x - base) // w, 0), (1 << (levels - _LAND_FROM)) - 1)
+
+    def sign(m):
+        return _sign_hom(sf, base + m * w, scale)
+
+    s0, s1 = sign(i), s_hi
+    if s0 == s_hi:  # the root lies below cell i
+        i, s0, s1 = i - 1, sign(i - 1), s0
+    elif s0 == s_lo:
+        s1 = sign(i + 1)
+        if s1 == s_lo:  # the root lies above cell i
+            i, s0, s1 = i + 1, s1, sign(i + 2)
+    if s0 == 0 or s1 == 0:
+        x = base + (i if s0 == 0 else i + 1) * w
+        return x, x, scale, 0
+    if (s0, s1) != (s_lo, s_hi):
+        return L, H, den, levels - _LAND_FROM
+    return base + i * w, base + (i + 1) * w, scale, 0
 
 
 # --- public polynomial wrapper ----------------------------------------------
@@ -314,6 +439,8 @@ class AlgebraicNumber:
     interval: tuple[Fraction, Fraction]
     exact: Fraction | None = None
     _sf: Coeffs = field(default=(), repr=False)
+    # set once Descartes' rule has shown the interval holds one root of _sf
+    _unique: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if not self._sf:
@@ -329,35 +456,50 @@ class AlgebraicNumber:
         return self.exact is not None
 
     def refine(self, tol: Fraction | float = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
+        """Bisect the interval until it is at most tol wide; a midpoint where
+        the squarefree part vanishes makes the number exact.  Deep
+        refinements land on the same cell with Newton steps (see _land)."""
         if self.exact is not None:
             return (self.exact, self.exact)
         if not isinstance(tol, Fraction):
             tol = Fraction(tol)
+        if tol.numerator <= 0:
+            raise NegBetaError(f"refinement tolerance must be positive, got {tol}")
         lo, hi = self.interval
         ld, hd = lo.denominator, hi.denominator
         if (hi.numerator * ld - lo.numerator * hd) * tol.denominator <= tol.numerator * ld * hd:
             return self.interval
-        # Bisect integer numerators L, H over the shared denominator den;
-        # halving doubles den, so the midpoints are the same rationals.
         (L, H), den = _over_common_denominator((lo, hi))
+        # the bisections needed: the least k with (H - L) / (den 2^k) <= tol
+        width, unit = (H - L) * tol.denominator, tol.numerator * den
+        k = max(width.bit_length() - unit.bit_length(), 0)
+        while unit << k < width:
+            k += 1
+        while k and unit << (k - 1) >= width:
+            k -= 1
         sf = self._sf
         s_lo = _sign_hom(sf, L, den)
-        while (H - L) * tol.denominator > tol.numerator * den:
-            mid, den = L + H, 2 * den
-            L, H = 2 * L, 2 * H
-            s_mid = _sign_hom(sf, mid, den)
-            if s_mid == 0:
-                # the root is exactly the rational midpoint
-                mid = Fraction(mid, den)
-                self.exact = mid
-                self.interval = (mid, mid)
-                return (mid, mid)
-            if s_mid == s_lo:
-                L = mid
-            else:
-                H = mid
+        if k > _LAND_FROM and self._one_root(L, H, den, s_lo):
+            L, H, den, k = _land(sf, L, H, den, s_lo, k)
+        if L != H:
+            L, H, den = _bisect(sf, L, H, den, s_lo, k)
+        if L == H:
+            mid = Fraction(L, den)
+            self.exact = mid
+            self.interval = (mid, mid)
+            return self.interval
         self.interval = (Fraction(L, den), Fraction(H, den))
         return self.interval
+
+    def _one_root(self, L: int, H: int, den: int, s_lo: int) -> bool:
+        """Does (L/den, H/den) hold exactly one root of the squarefree part,
+        with nonzero opposite signs at its ends?  Descartes' rule decides it
+        once; nested intervals keep the answer."""
+        if not s_lo or _sign_hom(self._sf, H, den) != -s_lo:
+            return False
+        if not self._unique:
+            self._unique = _unit_variations(_on_unit(self._sf, L, H, den)) == 1
+        return self._unique
 
     def floor(self) -> int:
         """Exact floor; terminates because irrational roots never sit on an
@@ -389,6 +531,8 @@ class AlgebraicNumber:
 
     def decimal(self, places: int = 3) -> str:
         """Correctly rounded (half-up) decimal string with the given places."""
+        if places < 0:
+            raise NegBetaError(f"decimal places must be at least 0, got {places}")
         scale = 10**places
 
         def half_up(x: Fraction) -> int:
@@ -512,11 +656,11 @@ def _rational_roots(a: Coeffs) -> list[Fraction]:
 
 class _Isolation:
     """The shared setup of root isolation on (lo, hi]: the squarefree part,
-    its rational roots (kept exact), the part left after dividing them out
-    and that part's Sturm chain, which the bisection grid is counted with."""
+    its rational roots (kept exact) and the part left after dividing them out,
+    which has only irrational roots, so no grid point is one of them."""
 
     def __init__(self, poly: IntPolynomial, lo: Fraction, hi: Fraction):
-        self.poly = poly
+        self.poly, self.lo, self.hi = poly, lo, hi
         self.sf = sf = _squarefree_part(poly.coefficients)
         all_rats = _rational_roots(sf) if len(sf) > 1 else []
         self.rats = [r for r in all_rats if lo < r <= hi]
@@ -525,13 +669,26 @@ class _Isolation:
         for r in all_rats:
             deflated = _exact_div(deflated, (-r.numerator, r.denominator))
         self.deflated = deflated
-        self.chain = sturm_chain(deflated) if len(deflated) > 1 else []
+
+    @cached_property
+    def chain(self) -> list[Coeffs]:
+        """The Sturm chain of the deflated part, which isolate_real_roots
+        counts the roots of a grid cell with."""
+        return sturm_chain(self.deflated) if len(self.deflated) > 1 else []
 
     def var(self, x: Fraction) -> int:
         return _variations_at(self.chain, x)
 
     def exact_roots(self) -> list[AlgebraicNumber]:
         return [AlgebraicNumber(self.poly, (r, r), exact=r, _sf=self.sf) for r in self.rats]
+
+    def _clear_rationals(self, root: AlgebraicNumber) -> AlgebraicNumber:
+        """Shrink the interval of an irrational root until it holds no exact
+        rational root, so the ordering by midpoint is faithful."""
+        for r in self.rats:
+            while root.interval[0] <= r <= root.interval[1]:
+                root.refine((root.interval[1] - root.interval[0]) / 4)
+        return root
 
     def root_in(self, a: Fraction, b: Fraction) -> AlgebraicNumber:
         """The irrational root of a grid interval (a, b] holding exactly one."""
@@ -544,13 +701,52 @@ class _Isolation:
                 b = mid
             else:
                 a = mid
-        root = AlgebraicNumber(self.poly, (a, b), _sf=deflated)
-        # An exact rational point may fall inside the interval; shrink it
-        # until the ordering by midpoint is faithful.
-        for r in self.rats:
-            while root.interval[0] <= r <= root.interval[1]:
-                root.refine((root.interval[1] - root.interval[0]) / 4)
-        return root
+        return self._clear_rationals(AlgebraicNumber(self.poly, (a, b), _sf=deflated))
+
+    def bounded_by(self, top: int) -> bool:
+        """Is every real root at most the integer top?  Descartes' rule
+        certifies it: the deflated part shifted by top has no sign variation,
+        so no root above top, and no rational root exceeds top."""
+        return (not self.rats or self.rats[-1] <= top) and \
+            _variations(_taylor_shift(self.deflated, top)) == 0
+
+    def largest(self, top: int | None = None) -> AlgebraicNumber | None:
+        """The greatest root in (lo, hi], or None.
+
+        Walks the bisection grid of isolate_real_roots from the top, deciding
+        each cell by Descartes' rule on the deflated part: no sign variation,
+        no root; one, exactly one, which is then the greatest irrational root;
+        more, split the cell.  A cell of the walk lies inside the piece of
+        the full isolation that holds the same root.  With a top that
+        bounded_by has certified, cells whose lower end is at or above top
+        are skipped unseen.
+        """
+        roots = self.exact_roots()[-1:]
+        deflated = self.deflated
+        if len(deflated) > 1:
+            (L, H), den = _over_common_denominator((self.lo, self.hi))
+            w, n = H - L, len(deflated) - 1
+
+            def below_top(k: int, j: int) -> bool:  # the lower end of cell j of level k
+                return top is None or (L << k) + j * w < top * den << k
+
+            # a cell is (level, index, its polynomial mapped onto (0, 1))
+            stack = [(0, 0, _on_unit(deflated, L, H, den))] if below_top(0, 0) else []
+            while stack:
+                k, j, p = stack.pop()
+                v = _unit_variations(p)
+                if v == 1:
+                    a = (L << k) + j * w
+                    root = AlgebraicNumber(self.poly, (Fraction(a, den << k), Fraction(a + w, den << k)),
+                                           _sf=deflated, _unique=True)
+                    roots.append(self._clear_rationals(root))
+                    break
+                if v:
+                    half = [c << (n - i) for i, c in enumerate(p)]  # 2^n p(x / 2)
+                    stack.append((k + 1, 2 * j, half))
+                    if below_top(k + 1, 2 * j + 1):
+                        stack.append((k + 1, 2 * j + 1, _taylor_shift(half, 1)))
+        return max(roots, key=_by_midpoint, default=None)
 
 
 def _by_midpoint(root: AlgebraicNumber) -> Fraction:
@@ -583,8 +779,7 @@ def root_upper_bound(poly: IntPolynomial) -> Fraction:
     c = poly.coefficients
     if not c:
         raise MalformedBaseError("the zero polynomial has no root bound")
-    lead = abs(c[-1])
-    return 1 + max(Fraction(abs(x), lead) for x in c)
+    return 1 + Fraction(max(abs(x) for x in c), abs(c[-1]))
 
 
 def largest_root_gt1(poly: IntPolynomial) -> AlgebraicNumber | None:
@@ -593,40 +788,30 @@ def largest_root_gt1(poly: IntPolynomial) -> AlgebraicNumber | None:
         raise MalformedBaseError("the zero polynomial has no largest root")
     if poly.degree < 1:
         return None
-    lo, hi = Fraction(1), root_upper_bound(poly)
-    iso = _Isolation(poly, lo, hi)
-    roots = iso.exact_roots()[-1:]
-    if iso.chain:
-        # Walk down the bisection grid of isolate_real_roots towards its
-        # greatest root: the upper half whenever it holds one, so the piece
-        # where the walk stops is the one the full isolation ends with.
-        v_hi = iso.var(hi)
-        count = iso.var(lo) - v_hi
-        while count > 1:
-            mid = (lo + hi) / 2
-            v_mid = iso.var(mid)
-            if v_mid > v_hi:
-                lo, count = mid, v_mid - v_hi
-            else:
-                hi, v_hi = mid, v_mid
-        if count:
-            roots.append(iso.root_in(lo, hi))
-    return max(roots, key=_by_midpoint, default=None)
+    return _Isolation(poly, Fraction(1), root_upper_bound(poly)).largest()
 
 
 def b_of(w: EventuallyPeriodicWord):
     """The base attached to a shift-sup-fixed word: literal 1 when w lies at
     or below the substitution fixed point u, otherwise the largest root above
     1 of the characteristic polynomial (which then always exists).
+
+    The base never exceeds the largest digit plus one.  When Descartes' rule
+    certifies that bound on the polynomial, the walk skips the grid above it;
+    otherwise the root is found on the whole grid and compared with it.
     """
     if not words.is_sup_fixed(w):
         raise SupNotFixedError(f"{w} is not the sup of its shifts")
     if words.compare_with_u(w) <= 0:
         return 1
-    root = largest_root_gt1(char_polynomial(w))
+    poly = char_polynomial(w)
+    top = w.max_digit() + 1
+    iso = _Isolation(poly, Fraction(1), root_upper_bound(poly))
+    certified = iso.bounded_by(top)
+    root = iso.largest(top if certified else None)
     if root is None:
         raise InvariantError(f"no root above 1 for {w}")
-    if root.compare(Fraction(w.max_digit() + 1)) > 0:
+    if not certified and root.compare(Fraction(top)) > 0:
         raise InvariantError(f"the base of {w} exceeds its largest digit plus one")
     return root
 

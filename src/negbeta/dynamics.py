@@ -170,6 +170,9 @@ class _AlgebraicArith:
         # the interval of num last seen by _bounds, and its integer form (L, H, q)
         self._interval = None
         self._ints = None
+        # the last image step returned, the interval its floor was read on and
+        # the image's bounds there, which key reuses
+        self._image = None
 
     def serves(self, beta: BetaValue) -> bool:
         # the enclosures depend on the interval state of num, so identity
@@ -283,35 +286,44 @@ class _AlgebraicArith:
     def compare(self, x, y) -> int:
         return self.sign(self._sub(x, y))
 
-    def _certified_floor(self, x) -> tuple[int, bool]:
-        """Floor d of x, and whether the enclosure that decided it already
-        proves x != d (its lower end lies strictly above d)."""
+    def _certified_floor(self, x) -> tuple[int, tuple[int, int, int] | None]:
+        """Floor d of x, and the bounds that decided it when they already
+        prove x != d (their lower end lies strictly above d), else None."""
         for tol in self._tolerances:
             lo, hi, den = self._bounds(x, tol)
             flo, fhi = lo // den, hi // den
             if flo == fhi:
-                return flo, lo > flo * den
+                return flo, (lo, hi, den) if lo > flo * den else None
             # x might be exactly the integer fhi
             if fhi - flo == 1 and self.is_zero(self._minus_int(x, fhi)):
-                return fhi, False
+                return fhi, None
         raise UndecidableAtPrecisionError(
             "floor undecided at max precision", straddled=fhi)
 
     def step(self, x):
         v = self._mul_beta(x)
-        d, above = self._certified_floor(v)
-        if not above and self.is_zero(self._minus_int(v, d)):
+        d, bounds = self._certified_floor(v)
+        if bounds is None and self.is_zero(self._minus_int(v, d)):
             # beta*x is exactly the integer d, so the image is exactly 1
             return d, self.one()
         nums, den = self._minus_int(v, d + 1)
         nxt = [-a for a in nums]
         while nxt and nxt[-1] == 0:
             nxt.pop()
-        return d, (tuple(nxt), den)
+        image = (tuple(nxt), den)
+        if bounds is not None:
+            # termwise, the bounds of d + 1 - v are d + 1 minus those of v
+            lo, hi, D = bounds
+            self._image = (image, self._interval, ((d + 1) * D - hi, (d + 1) * D - lo, D))
+        return d, image
 
     def key(self, x):
         """int(mid * 2**48) for the midpoint of the 2^-64 enclosure, exactly."""
-        lo, hi, den = self._bounds(x, _TOL_64)
+        image = self._image
+        if image is not None and image[0] is x and image[1] is self.num.refine(_TOL_64):
+            lo, hi, den = image[2]
+        else:
+            lo, hi, den = self._bounds(x, _TOL_64)
         n = (lo + hi) << 47
         return n // den if n >= 0 else -(-n // den)
 

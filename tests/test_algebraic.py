@@ -24,7 +24,7 @@ from negbeta.algebraic import (
     _sign_at,
     _squarefree_part,
 )
-from negbeta.errors import InvariantError, MalformedBaseError, SupNotFixedError
+from negbeta.errors import InvariantError, MalformedBaseError, NegBetaError, SupNotFixedError
 from negbeta.words import canonicalize, compare_with_u, sup_of_shifts, word
 
 
@@ -144,6 +144,43 @@ def test_b_of_matches_the_full_isolation_on_every_threshold_word():
         _same_root(b_of(a), want)
 
 
+def test_b_of_certifies_the_digit_bound_and_builds_no_sturm_chain(monkeypatch):
+    chains, certified = [], []
+    real_chain, real_bounded = algebraic.sturm_chain, algebraic._Isolation.bounded_by
+    monkeypatch.setattr(algebraic, "sturm_chain", lambda a: chains.append(a) or real_chain(a))
+    monkeypatch.setattr(algebraic._Isolation, "bounded_by",
+                        lambda iso, top: certified.append(real_bounded(iso, top)) or certified[-1])
+    compares = []
+    real_compare = AlgebraicNumber.compare
+    monkeypatch.setattr(AlgebraicNumber, "compare",
+                        lambda self, other: compares.append(other) or real_compare(self, other))
+    threshold_words = _threshold_words(7)
+    bases = [b_of(a) for a in threshold_words]
+    assert chains == [] and compares == []
+    assert len(certified) == len(threshold_words) and all(certified)
+    assert all(real_compare(b, a.max_digit() + 1) <= 0 for a, b in zip(threshold_words, bases))
+
+
+def test_the_digit_bound_is_certified_only_when_it_holds():
+    def bounded(coeffs, top):
+        poly = IntPolynomial(coeffs)
+        return algebraic._Isolation(poly, Fraction(1), root_upper_bound(poly)).bounded_by(top)
+
+    assert bounded((-1, -1, 1), 2)                  # the golden ratio
+    assert not bounded((-5, 0, 1), 2)               # sqrt 5 > 2
+    assert bounded((-5, 0, 1), 3)
+    assert not bounded(_mul((-3, 1), (-2, 0, 1)), 2)  # the rational root 3 > 2
+    assert bounded(_mul((-2, 1), (-2, 0, 1)), 2)      # the rational root 2 itself
+
+
+def test_b_of_without_the_certificate_finds_the_same_root(monkeypatch):
+    threshold_words = _threshold_words(5)
+    certified = [b_of(a) for a in threshold_words]
+    monkeypatch.setattr(algebraic._Isolation, "bounded_by", lambda iso, top: False)
+    for a, want in zip(threshold_words, certified):
+        _same_root(b_of(a), want)
+
+
 # integer polynomials of degree up to 10, some with rational or repeated factors
 _FACTORS = [(1,), (-2, 1), (-3, 2), (-5, 3), (3, 2), (-1, -1, 1), (-7, 0, 2)]
 _polys = st.builds(
@@ -160,7 +197,8 @@ def test_largest_root_matches_the_full_isolation(coeffs):
     if want is None:
         assert got is None
         return
-    assert got.interval == want.interval
+    # the Descartes walk may stop deeper on the same grid: a sub-cell
+    assert want.interval[0] <= got.interval[0] <= got.interval[1] <= want.interval[1]
     _same_root(got, want)
 
 
@@ -186,6 +224,24 @@ def test_largest_root_gt1_against_sympy():
         assert top < sympy.Rational(hi.numerator, hi.denominator)
 
     check()
+
+
+def test_b_of_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    threshold_words = _threshold_words(6)
+    assert len(threshold_words) == 208
+    for a in threshold_words:
+        coeffs = char_polynomial(a).coefficients
+        top = max(r for r in sympy.real_roots(sympy.Poly(list(reversed(coeffs)), x)) if r > 1)
+        got = b_of(a)
+        if top.is_Rational:
+            assert got.exact == Fraction(int(top.p), int(top.q))
+            continue
+        assert got.exact is None
+        lo, hi = got.refine(Fraction(1, 2**40))
+        assert sympy.Rational(lo.numerator, lo.denominator) < top
+        assert top < sympy.Rational(hi.numerator, hi.denominator)
 
 
 def test_comparing_with_a_plain_rational_needs_no_gcd(monkeypatch):
@@ -391,13 +447,26 @@ def test_algebraic_invariants_raise_typed_errors(monkeypatch):
         algebraic._exact_div((1, 0, 1), (1, 1))
     with pytest.raises(InvariantError):  # an interval narrow enough to skip bisection
         AlgebraicNumber(IntPolynomial((-2, 1)), (Fraction(15, 8), Fraction(17, 8))).floor()
-    monkeypatch.setattr(algebraic, "largest_root_gt1", lambda poly: None)
+    # the digit bound not certified, so b_of compares the root with it
+    monkeypatch.setattr(algebraic._Isolation, "bounded_by", lambda iso, top: False)
+    monkeypatch.setattr(algebraic._Isolation, "largest", lambda iso, top=None: None)
     with pytest.raises(InvariantError):
         b_of(word("(2)"))
-    monkeypatch.setattr(algebraic, "largest_root_gt1",
-                        lambda poly: AlgebraicNumber.from_rational(Fraction(7)))
+    monkeypatch.setattr(algebraic._Isolation, "largest",
+                        lambda iso, top=None: AlgebraicNumber.from_rational(Fraction(7)))
     with pytest.raises(InvariantError):
         b_of(word("(2)"))
+
+
+def test_refine_and_decimal_reject_what_they_cannot_reach():
+    golden = largest_root_gt1(poly_from_descending(1, -1, -1))
+    before = golden.interval
+    for tol in (Fraction(-1, 8), Fraction(0), 0, -0.5):
+        with pytest.raises(NegBetaError):
+            golden.refine(tol)
+    with pytest.raises(NegBetaError):
+        golden.decimal(-1)
+    assert golden.interval == before
 
 
 def test_classify_non_monic_is_neither():
@@ -488,3 +557,85 @@ def test_refine_lands_on_a_dyadic_root_like_the_oracle(factors, interval):
     assert expected[0] == expected[1]
     assert num.refine(Fraction(1, 2**40)) == expected
     assert num.exact == expected[0] and num.interval == expected
+
+
+# --- grid landing against plain bisection ---------------------------------------
+
+@st.composite
+def _numbers_with_a_root_inside(draw):
+    """An AlgebraicNumber on an interval (lo, hi) whose polynomial has a root
+    placed inside: on the bisection grid of the interval, off it, irrational,
+    three close together, or none at all; other roots may fall inside as
+    well."""
+    q, a, r = draw(st.integers(1, 60)), draw(st.integers(-200, 200)), draw(st.integers(1, 200))
+    lo, hi = Fraction(a, q), Fraction(a + r, q)
+    coeffs = tuple(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5)
+                        .filter(lambda c: c[-1] != 0)))
+    kind = draw(st.sampled_from(["grid", "off-grid", "irrational", "cluster", "none"]))
+    if kind == "grid":
+        m = draw(st.integers(1, 40))
+        x = lo + (hi - lo) * Fraction(draw(st.integers(1, 2**m - 1)), 2**m)
+        coeffs = _mul(coeffs, (-x.numerator, x.denominator))
+    elif kind == "off-grid":
+        # j / 101 is never a dyadic fraction of the interval
+        x = lo + (hi - lo) * Fraction(draw(st.integers(1, 100)), 101)
+        coeffs = _mul(coeffs, (-x.numerator, x.denominator))
+    elif kind == "irrational":
+        # the roots t -+ sqrt(2) / m of (m (x - t))^2 - 2, the upper one inside
+        t = lo + (hi - lo) * Fraction(draw(st.integers(1, 99)), 100)
+        m = max(draw(st.integers(1, 10**6)), int(2 / (hi - t)) + 1)
+        u, v = t.numerator, t.denominator
+        coeffs = _mul(coeffs, (m * m * u * u - 2 * v * v, -2 * m * m * u * v, m * m * v * v))
+    elif kind == "cluster":
+        # three roots t and t -+ sqrt(3) / m of y^3 - 3 y, y = m (x - t), all
+        # inside one cell of the first bisection levels
+        t = lo + (hi - lo) * Fraction(draw(st.integers(1, 99)), 100)
+        m = max(draw(st.integers(1, 10**6)), int(2**10 / (hi - lo)) + 1)
+        u, v = t.numerator, t.denominator
+        A, B = m * v, m * u  # v y = A x - B
+        coeffs = _mul(coeffs, (3 * v * v * B - B**3, 3 * A * B * B - 3 * v * v * A,
+                               -3 * A * A * B, A**3))
+    if draw(st.booleans()):
+        coeffs = _mul(coeffs, coeffs)  # repeated roots: refine works on the squarefree part
+    return AlgebraicNumber(IntPolynomial(coeffs), (lo, hi))
+
+
+deep_tolerances = st.one_of(
+    st.integers(0, 4096).map(lambda k: Fraction(1, 2**k)),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**9)),
+)
+
+
+@given(_numbers_with_a_root_inside(), st.lists(deep_tolerances, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_refine_equals_plain_bisection(num, tols):
+    expected = num.interval
+    for tol in tols:
+        expected = _refine_oracle(num._sf, expected, tol)
+        assert num.refine(tol) == expected and num.interval == expected
+        assert num.exact == (expected[0] if expected[0] == expected[1] else None)
+
+
+def test_refine_lands_only_where_descartes_proves_one_root(monkeypatch):
+    calls = []
+    real_land = algebraic._land
+    monkeypatch.setattr(algebraic, "_land", lambda *a: calls.append(a) or real_land(*a))
+    tol = Fraction(1, 2**64)
+    # sqrt(7)/2, sqrt 2 and sqrt 3 all lie in (1, 2), with a sign change across it
+    three = AlgebraicNumber(IntPolynomial(_mul(_mul((-2, 0, 1), (-3, 0, 1)), (-7, 0, 4))),
+                            (Fraction(1), Fraction(2)))
+    assert three.refine(tol) == _refine_oracle(three._sf, (Fraction(1), Fraction(2)), tol)
+    assert calls == [] and not three._unique
+    golden = AlgebraicNumber(IntPolynomial((-1, -1, 1)), (Fraction(1), Fraction(2)))
+    assert golden.refine(tol) == _refine_oracle(golden._sf, (Fraction(1), Fraction(2)), tol)
+    assert len(calls) == 1 and golden._unique
+
+
+@pytest.mark.parametrize("n,bits", [(5, 64), (5, 300), (5, 1024), (4, 4096)])
+def test_refine_of_threshold_bases_equals_plain_bisection(n, bits):
+    for a in _threshold_words(n):
+        b = b_of(a)
+        if b.is_rational():
+            continue
+        expected = _refine_oracle(b._sf, b.interval, Fraction(1, 2**bits))
+        assert b.refine(Fraction(1, 2**bits)) == expected

@@ -339,6 +339,30 @@ def test_nonperiodic_expansion_decides_every_zero_test_by_intervals(monkeypatch)
     assert calls == []
 
 
+def test_the_key_of_an_image_reuses_the_enclosure_of_its_floor(monkeypatch):
+    calls = []
+    real_bounds = dynamics._AlgebraicArith._bounds
+    monkeypatch.setattr(dynamics._AlgebraicArith, "_bounds",
+                        lambda self, x, tol: calls.append(tol) or real_bounds(self, x, tol))
+    res = expansion_of_one(parse_beta(DEGREE_SIX, DEFAULT_PRECISION), max_digits=200)
+    assert len(res.digits) == 200 and not res.is_periodic
+    # one enclosure per step, for the floor, and one for the key of the start
+    # point; computing each image's key afresh would make it 401
+    assert len(calls) == 201
+    # every reused key is the one a fresh enclosure gives
+    real_key = dynamics._AlgebraicArith.key
+
+    def checked_key(self, x):
+        got = real_key(self, x)
+        self._image = None
+        assert real_key(self, x) == got
+        return got
+
+    monkeypatch.setattr(dynamics._AlgebraicArith, "key", checked_key)
+    again = expansion_of_one(parse_beta(DEGREE_SIX, DEFAULT_PRECISION), max_digits=200)
+    assert again.digits == res.digits
+
+
 # --- the Fraction orbit arithmetic, kept as the reference -------------------------
 
 def _point(coeffs):
