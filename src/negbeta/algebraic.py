@@ -1,18 +1,16 @@
 """Integer polynomials, exact real root isolation, and the algebraic numbers
 attached to eventually periodic digit words.
 
-Root isolation is exact: Sturm chains over the integers locate roots in
-half-open rational intervals, rational roots are detected by the rational
-root test, and irrational roots are refined by sign bisection on the
-squarefree part (so every isolating interval carries a sign change).
-
-The threshold base needs only the largest root above 1.  ``largest_root_gt1``
-walks the midpoint grid that ``isolate_real_roots`` bisects from the top and
-decides each piece by Descartes' rule of signs, with no Sturm chain: no sign
-variation, no root; one, exactly one root; more, split the piece.  Its piece
-lies inside the one the full isolation ends with, so every interval refined
-to a fixed width is unchanged.  ``b_of`` first certifies the digit bound
-d + 1 by Descartes' rule and then skips the grid above it.
+Root isolation is exact.  Rational roots are found by the rational root test
+and kept exact; they are divided out of the squarefree part, so the part
+left has only irrational roots and no rational grid point is one of them.
+Its roots are isolated on the midpoint grid of the interval by Descartes'
+rule of signs (Collins-Akritas; Rouillier-Zimmermann): a cell mapped onto
+(0, 1) with no sign variation holds no root, one with one variation holds
+exactly one, and any other cell is split.  The walk goes from the top, so
+the roots come greatest first, and the threshold base needs only the first.
+``b_of`` first certifies the digit bound d + 1 by Descartes' rule and then
+skips the grid above it.
 
 ``refine`` lands on the cell of the bisection grid that bisection would
 reach: once Descartes' rule shows the interval holds exactly one root,
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -86,13 +83,6 @@ def _primitive(a: Coeffs) -> Coeffs:
     return tuple(x // g for x in a)
 
 
-def _eval_fraction(a: Coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def _over_common_denominator(xs) -> tuple[list[int], int]:
     """Integer numerators of the rationals xs over their least common denominator."""
     den = 1
@@ -121,6 +111,14 @@ def _sign_at(a: Coeffs, x: Fraction) -> int:
     return _sign_hom(a, x.numerator, x.denominator)
 
 
+def _has_root(g: Coeffs, lo: Fraction, hi: Fraction) -> bool:
+    """Does g vanish somewhere in [lo, hi]?  Exact when g divides the
+    squarefree part of a number that [lo, hi] isolates: g then has at most
+    one root there, and a simple one, so a root shows as a sign change or a
+    zero at an end."""
+    return _sign_at(g, lo) * _sign_at(g, hi) <= 0
+
+
 def _rem_sign_preserving(f: Coeffs, g: Coeffs) -> Coeffs:
     """Euclidean remainder of f by g up to a positive rational factor."""
     f = list(f)
@@ -141,30 +139,6 @@ def _rem_sign_preserving(f: Coeffs, g: Coeffs) -> Coeffs:
     if steps % 2 == 1 and lg < 0:
         rem = tuple(-c for c in rem)
     return _primitive(rem) if rem else ()
-
-
-def sturm_chain(a: Coeffs) -> list[Coeffs]:
-    chain = [_primitive(a), _primitive(_deriv(a))]
-    while chain[-1]:
-        nxt = _rem_sign_preserving(chain[-2], chain[-1])
-        chain.append(tuple(-c for c in nxt))
-    chain.pop()
-    return chain
-
-
-def _sign_variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
-
-
-def _variations_at(chain: list[Coeffs], x: Fraction) -> int:
-    return _sign_variations([_sign_at(c, x) for c in chain])
-
-
-def count_real_roots(a: Coeffs, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of a in the half-open interval (lo, hi]."""
-    chain = sturm_chain(a)
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def _poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -336,8 +310,6 @@ class IntPolynomial:
         return not self.coefficients
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            return _eval_fraction(self.coefficients, x)
         acc = 0
         for c in reversed(self.coefficients):
             acc = acc * x + c
@@ -552,6 +524,8 @@ class AlgebraicNumber:
                 tol /= 2**8
         sign = "-" if n < 0 else ""
         n = abs(n)
+        if not places:
+            return f"{sign}{n}"
         return f"{sign}{n // scale}.{n % scale:0{places}d}"
 
     def compare(self, other) -> int:
@@ -586,9 +560,7 @@ class AlgebraicNumber:
         lo1, hi1 = self.refine(Fraction(1, 2**24))
         lo2, hi2 = other.refine(Fraction(1, 2**24))
         lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return False
-        return count_real_roots(g, lo, hi) > 0 or _sign_at(g, lo) == 0
+        return lo <= hi and _has_root(g, lo, hi)
 
     def _equals_rational(self, r: Fraction) -> bool:
         if self.exact is not None:
@@ -655,9 +627,9 @@ def _rational_roots(a: Coeffs) -> list[Fraction]:
 
 
 class _Isolation:
-    """The shared setup of root isolation on (lo, hi]: the squarefree part,
-    its rational roots (kept exact) and the part left after dividing them out,
-    which has only irrational roots, so no grid point is one of them."""
+    """Root isolation on (lo, hi]: the squarefree part, its rational roots
+    (kept exact) and the part left after dividing them out, which has only
+    irrational roots, so no grid point is one of them."""
 
     def __init__(self, poly: IntPolynomial, lo: Fraction, hi: Fraction):
         self.poly, self.lo, self.hi = poly, lo, hi
@@ -670,15 +642,6 @@ class _Isolation:
             deflated = _exact_div(deflated, (-r.numerator, r.denominator))
         self.deflated = deflated
 
-    @cached_property
-    def chain(self) -> list[Coeffs]:
-        """The Sturm chain of the deflated part, which isolate_real_roots
-        counts the roots of a grid cell with."""
-        return sturm_chain(self.deflated) if len(self.deflated) > 1 else []
-
-    def var(self, x: Fraction) -> int:
-        return _variations_at(self.chain, x)
-
     def exact_roots(self) -> list[AlgebraicNumber]:
         return [AlgebraicNumber(self.poly, (r, r), exact=r, _sf=self.sf) for r in self.rats]
 
@@ -690,19 +653,6 @@ class _Isolation:
                 root.refine((root.interval[1] - root.interval[0]) / 4)
         return root
 
-    def root_in(self, a: Fraction, b: Fraction) -> AlgebraicNumber:
-        """The irrational root of a grid interval (a, b] holding exactly one."""
-        # shrink until the endpoints see a strict sign change
-        deflated = self.deflated
-        while _sign_at(deflated, a) == 0 or _sign_at(deflated, b) == 0 or \
-                _sign_at(deflated, a) == _sign_at(deflated, b):
-            mid = (a + b) / 2
-            if self.var(a) - self.var(mid) == 1:
-                b = mid
-            else:
-                a = mid
-        return self._clear_rationals(AlgebraicNumber(self.poly, (a, b), _sf=deflated))
-
     def bounded_by(self, top: int) -> bool:
         """Is every real root at most the integer top?  Descartes' rule
         certifies it: the deflated part shifted by top has no sign variation,
@@ -710,42 +660,44 @@ class _Isolation:
         return (not self.rats or self.rats[-1] <= top) and \
             _variations(_taylor_shift(self.deflated, top)) == 0
 
-    def largest(self, top: int | None = None) -> AlgebraicNumber | None:
-        """The greatest root in (lo, hi], or None.
+    def irrational_roots(self, top: int | None = None):
+        """The irrational roots in (lo, hi], greatest first.
 
-        Walks the bisection grid of isolate_real_roots from the top, deciding
-        each cell by Descartes' rule on the deflated part: no sign variation,
-        no root; one, exactly one, which is then the greatest irrational root;
-        more, split the cell.  A cell of the walk lies inside the piece of
-        the full isolation that holds the same root.  With a top that
-        bounded_by has certified, cells whose lower end is at or above top
-        are skipped unseen.
+        Walks the midpoint grid of (lo, hi] from the top, deciding each cell
+        by Descartes' rule on the deflated part: no sign variation, no root;
+        one, exactly one, which comes next; more, split the cell.  Every cell
+        above one that yields is proven empty.  With a top that bounded_by
+        has certified, cells whose lower end is at or above top are skipped
+        unseen.
         """
-        roots = self.exact_roots()[-1:]
         deflated = self.deflated
-        if len(deflated) > 1:
-            (L, H), den = _over_common_denominator((self.lo, self.hi))
-            w, n = H - L, len(deflated) - 1
+        if len(deflated) <= 1:
+            return
+        (L, H), den = _over_common_denominator((self.lo, self.hi))
+        w, n = H - L, len(deflated) - 1
 
-            def below_top(k: int, j: int) -> bool:  # the lower end of cell j of level k
-                return top is None or (L << k) + j * w < top * den << k
+        def below_top(k: int, j: int) -> bool:  # the lower end of cell j of level k
+            return top is None or (L << k) + j * w < top * den << k
 
-            # a cell is (level, index, its polynomial mapped onto (0, 1))
-            stack = [(0, 0, _on_unit(deflated, L, H, den))] if below_top(0, 0) else []
-            while stack:
-                k, j, p = stack.pop()
-                v = _unit_variations(p)
-                if v == 1:
-                    a = (L << k) + j * w
-                    root = AlgebraicNumber(self.poly, (Fraction(a, den << k), Fraction(a + w, den << k)),
-                                           _sf=deflated, _unique=True)
-                    roots.append(self._clear_rationals(root))
-                    break
-                if v:
-                    half = [c << (n - i) for i, c in enumerate(p)]  # 2^n p(x / 2)
-                    stack.append((k + 1, 2 * j, half))
-                    if below_top(k + 1, 2 * j + 1):
-                        stack.append((k + 1, 2 * j + 1, _taylor_shift(half, 1)))
+        # a cell is (level, index, its polynomial mapped onto (0, 1))
+        stack = [(0, 0, _on_unit(deflated, L, H, den))] if below_top(0, 0) else []
+        while stack:
+            k, j, p = stack.pop()
+            v = _unit_variations(p)
+            if v == 1:
+                a = (L << k) + j * w
+                root = AlgebraicNumber(self.poly, (Fraction(a, den << k), Fraction(a + w, den << k)),
+                                       _sf=deflated, _unique=True)
+                yield self._clear_rationals(root)
+            elif v:
+                half = [c << (n - i) for i, c in enumerate(p)]  # 2^n p(x / 2)
+                stack.append((k + 1, 2 * j, half))
+                if below_top(k + 1, 2 * j + 1):
+                    stack.append((k + 1, 2 * j + 1, _taylor_shift(half, 1)))
+
+    def largest(self, top: int | None = None) -> AlgebraicNumber | None:
+        """The greatest root in (lo, hi], or None."""
+        roots = self.exact_roots()[-1:] + list(itertools.islice(self.irrational_roots(top), 1))
         return max(roots, key=_by_midpoint, default=None)
 
 
@@ -755,23 +707,10 @@ def _by_midpoint(root: AlgebraicNumber) -> Fraction:
 
 def isolate_real_roots(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> list[AlgebraicNumber]:
     """Disjoint isolating intervals for every real root in (lo, hi],
-    in increasing order.  Rational roots come back exact.  Irrational roots
-    come from bisecting (lo, hi] at midpoints until a piece holds one root."""
+    in increasing order.  Rational roots come back exact, irrational roots
+    on the cells where the Descartes walk finds them."""
     iso = _Isolation(poly, lo, hi)
-    out = iso.exact_roots()
-    if iso.chain:
-        stack = [(lo, hi, iso.var(lo) - iso.var(hi))]
-        while stack:
-            a, b, count = stack.pop()
-            if count == 1:
-                out.append(iso.root_in(a, b))
-            elif count > 1:
-                mid = (a + b) / 2
-                vm = iso.var(mid)
-                stack.append((a, mid, iso.var(a) - vm))
-                stack.append((mid, b, vm - iso.var(b)))
-    out.sort(key=_by_midpoint)
-    return out
+    return sorted(iso.exact_roots() + list(iso.irrational_roots()), key=_by_midpoint)
 
 
 def root_upper_bound(poly: IntPolynomial) -> Fraction:
@@ -821,17 +760,11 @@ def shift_root(num: AlgebraicNumber, c) -> AlgebraicNumber:
     c = Fraction(c)
     if num.is_rational():
         return AlgebraicNumber.from_rational(num.exact + c)
-    from math import comb
-
     lo, hi = num.refine(Fraction(1, 2**24))
-    p = num.polynomial.coefficients
-    # Taylor shift: coefficients of P(x - c), cleared to primitive integers.
-    shifted = [Fraction(0)] * len(p)
-    for j, pj in enumerate(p):
-        for k in range(j + 1):
-            shifted[k] += pj * comb(j, k) * (-c) ** (j - k)
-    ints = _strip(_over_common_denominator(shifted)[0])
-    return AlgebraicNumber(IntPolynomial(ints).sign_normalized(), (lo + c, hi + c))
+    # b^n P(x - a/b), with c = a/b: the map x -> (b x - a) / b of _on_unit
+    a, b = c.numerator, c.denominator
+    shifted = _primitive(_on_unit(num.polynomial.coefficients, -a, b - a, b))
+    return AlgebraicNumber(IntPolynomial(shifted).sign_normalized(), (lo + c, hi + c))
 
 
 PISOT = "pisot"

@@ -21,7 +21,6 @@ from .algebraic import (
     IntPolynomial,
     _poly_gcd,
     b_of,
-    char_polynomial,
     shift_root,
 )
 from .dynamics import (
@@ -420,7 +419,7 @@ def extremal_report(n: int) -> ExtremalReport:
     else:
         attaining = [max_families(n)[2] if n % 2 == 0 else max_families(n)[3]]
     return ExtremalReport(
-        n=n, max_value=lam, max_poly=char_polynomial(w_star).squarefree_part(),
+        n=n, max_value=lam, max_poly=lam.polynomial.squarefree_part(),
         attaining=tuple(attaining), n_minus_max_set=tuple(nm_set),
         exhaustive=exhaustive,
     )

@@ -19,12 +19,11 @@ from math import gcd
 from . import words
 from .algebraic import (
     AlgebraicNumber,
+    _has_root,
     _over_common_denominator,
     _poly_gcd,
-    _sign_at,
     _strip,
     b_of,
-    count_real_roots,
 )
 from .errors import (
     InvariantError,
@@ -263,7 +262,7 @@ class _AlgebraicArith:
         if len(g) <= 1:
             return False
         lo, hi = self.num.refine(Fraction(1, 2**24))
-        return count_real_roots(g, lo, hi) > 0 or _sign_at(g, lo) == 0
+        return _has_root(g, lo, hi)
 
     def enclosure(self, x, tol: Fraction) -> tuple[Fraction, Fraction]:
         lo, hi, den = self._bounds(x, tol)

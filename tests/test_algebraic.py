@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import sturm_oracle
 from negbeta import algebraic
 from negbeta.algebraic import (
     AlgebraicNumber,
@@ -20,6 +21,7 @@ from negbeta.algebraic import (
     poly_from_descending,
     root_upper_bound,
     shift_root,
+    _has_root,
     _mul,
     _sign_at,
     _squarefree_part,
@@ -74,6 +76,18 @@ def test_golden_ratio_isolated():
     assert r.decimal(10) == "1.6180339887"
 
 
+def test_decimal_with_no_places_has_no_point():
+    assert largest_root_gt1(poly_from_descending(1, -1, -1)).decimal(0) == "2"
+    assert AlgebraicNumber.from_rational(Fraction(7, 3)).decimal(0) == "2"
+    assert AlgebraicNumber.from_rational(Fraction(-5, 2)).decimal(0) == "-2"
+    assert AlgebraicNumber.from_rational(Fraction(-5, 2)).decimal(1) == "-2.5"
+
+
+def test_polynomial_evaluates_at_a_fraction_exactly():
+    value = poly_from_descending(3, -2, 0, 7)(Fraction(-5, 3))
+    assert type(value) is Fraction and value == Fraction(-112, 9)
+
+
 def test_rational_root_detected_exactly():
     r = largest_root_gt1(poly_from_descending(1, -2, 0))
     assert r.is_rational() and r.exact == 2
@@ -115,8 +129,9 @@ def test_mixed_rational_and_irrational_roots_ordered():
 
 
 def _largest_by_full_isolation(poly):
-    """Oracle: isolate every root in (1, Cauchy bound] and keep the last one."""
-    roots = isolate_real_roots(poly, Fraction(1), root_upper_bound(poly))
+    """Oracle: isolate every root in (1, Cauchy bound] by Sturm counts and
+    keep the last one."""
+    roots = sturm_oracle.isolate_real_roots(poly, Fraction(1), root_upper_bound(poly))
     return roots[-1] if roots else None
 
 
@@ -144,10 +159,9 @@ def test_b_of_matches_the_full_isolation_on_every_threshold_word():
         _same_root(b_of(a), want)
 
 
-def test_b_of_certifies_the_digit_bound_and_builds_no_sturm_chain(monkeypatch):
-    chains, certified = [], []
-    real_chain, real_bounded = algebraic.sturm_chain, algebraic._Isolation.bounded_by
-    monkeypatch.setattr(algebraic, "sturm_chain", lambda a: chains.append(a) or real_chain(a))
+def test_b_of_certifies_the_digit_bound_and_makes_no_comparison(monkeypatch):
+    certified = []
+    real_bounded = algebraic._Isolation.bounded_by
     monkeypatch.setattr(algebraic._Isolation, "bounded_by",
                         lambda iso, top: certified.append(real_bounded(iso, top)) or certified[-1])
     compares = []
@@ -156,7 +170,7 @@ def test_b_of_certifies_the_digit_bound_and_builds_no_sturm_chain(monkeypatch):
                         lambda self, other: compares.append(other) or real_compare(self, other))
     threshold_words = _threshold_words(7)
     bases = [b_of(a) for a in threshold_words]
-    assert chains == [] and compares == []
+    assert compares == []
     assert len(certified) == len(threshold_words) and all(certified)
     assert all(real_compare(b, a.max_digit() + 1) <= 0 for a, b in zip(threshold_words, bases))
 
@@ -200,6 +214,43 @@ def test_largest_root_matches_the_full_isolation(coeffs):
     # the Descartes walk may stop deeper on the same grid: a sub-cell
     assert want.interval[0] <= got.interval[0] <= got.interval[1] <= want.interval[1]
     _same_root(got, want)
+
+
+@given(_polys, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_isolate_real_roots_matches_the_sturm_isolation(coeffs, whole_line):
+    poly = IntPolynomial(coeffs)
+    bound = root_upper_bound(poly)
+    lo = -bound if whole_line else Fraction(1)
+    got = isolate_real_roots(poly, lo, bound)
+    want = sturm_oracle.isolate_real_roots(poly, lo, bound)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same_root(g, w, Fraction(1, 2**24))
+        _same_root(g, w)
+
+
+# rational ends, among them roots of the factors in _FACTORS
+_ends = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(-3, 2)]),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 16)),
+)
+
+
+@given(_polys, _ends, _ends)
+@settings(max_examples=300, deadline=None)
+def test_has_root_agrees_with_the_sturm_count(coeffs, a, b):
+    g = _squarefree_part(coeffs)
+
+    def oracle(lo, hi):
+        return sturm_oracle.count_real_roots(g, lo, hi) > 0 or _sign_at(g, lo) == 0
+
+    for x in (a, b):  # degenerate intervals
+        assert _has_root(g, x, x) == oracle(x, x)
+    lo, hi = min(a, b), max(a, b)
+    # exact when [lo, hi] holds at most one root, as an isolating interval does
+    assume(sturm_oracle.count_real_roots(g, lo, hi) + (_sign_at(g, lo) == 0) <= 1)
+    assert _has_root(g, lo, hi) == oracle(lo, hi)
 
 
 def test_largest_root_gt1_against_sympy():
@@ -332,6 +383,26 @@ def test_shift_root():
     assert abs(float((lo + hi) / 2) - (1.6180339887 + 0.05)) < 1e-8
     down = shift_root(up, Fraction(-1, 20))
     assert down.equals(g)
+
+
+@given(_polys, st.builds(Fraction, st.integers(-100, 100), st.integers(1, 50)))
+@settings(max_examples=100, deadline=None)
+def test_shift_root_polynomial_is_the_shifted_primitive(coeffs, c):
+    from math import comb
+
+    poly = IntPolynomial(coeffs).sign_normalized()
+    bound = root_upper_bound(poly)
+    for root in isolate_real_roots(poly, -bound, bound):
+        if root.is_rational():
+            continue
+        # P(x - c) by the binomial theorem, over the rationals
+        shifted = [Fraction(0)] * len(poly.coefficients)
+        for j, pj in enumerate(poly.coefficients):
+            for k in range(j + 1):
+                shifted[k] += pj * comb(j, k) * (-c) ** (j - k)
+        ints = algebraic._over_common_denominator(shifted)[0]
+        want = IntPolynomial(algebraic._primitive(tuple(ints))).sign_normalized()
+        assert shift_root(root, c).polynomial == want
 
 
 # --- the base attached to a word -----------------------------------------------------

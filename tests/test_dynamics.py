@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sturm_oracle
 from negbeta import dynamics
 from negbeta.algebraic import (
     IntPolynomial,
@@ -19,7 +20,6 @@ from negbeta.algebraic import (
     _sign_at,
     _strip,
     b_of,
-    count_real_roots,
     isolate_real_roots,
     largest_root_gt1,
     poly_from_descending,
@@ -412,7 +412,7 @@ class _FractionArith:
         if len(g) <= 1:
             return False
         lo, hi = self.num.refine(Fraction(1, 2**24))
-        return count_real_roots(g, lo, hi) > 0 or _sign_at(g, lo) == 0
+        return sturm_oracle.count_real_roots(g, lo, hi) > 0 or _sign_at(g, lo) == 0
 
     def enclosure(self, x, tol):
         return _enclosure_oracle(x, *self.num.refine(tol))
