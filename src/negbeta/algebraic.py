@@ -16,6 +16,11 @@ skips the grid above it.
 reach: once Descartes' rule shows the interval holds exactly one root,
 fixed-point Newton steps find the cell and the exact signs at its ends
 certify it; anything uncertified falls back to bisection.
+
+The squarefree part skips the integer gcd whenever it can: a polynomial
+coprime to its derivative modulo the prime 2^61 - 1, which does not divide
+its leading coefficient, is squarefree.  The integer gcd is a primitive
+pseudo-remainder sequence.
 """
 
 from __future__ import annotations
@@ -41,19 +46,6 @@ def _strip(c: list[int]) -> Coeffs:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _add(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = list(itertools.zip_longest(a, b, fillvalue=0))
-    return _strip([x + y for x, y in out])
-
-
-def _neg(a: Coeffs) -> Coeffs:
-    return tuple(-x for x in a)
-
-
-def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    return _add(a, _neg(b))
 
 
 def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -119,46 +111,74 @@ def _has_root(g: Coeffs, lo: Fraction, hi: Fraction) -> bool:
     return _sign_at(g, lo) * _sign_at(g, hi) <= 0
 
 
-def _rem_sign_preserving(f: Coeffs, g: Coeffs) -> Coeffs:
-    """Euclidean remainder of f by g up to a positive rational factor."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    steps = 0
-    while True:
-        f = list(_strip(f))
-        if not f or len(f) - 1 < dg:
-            break
-        df = len(f) - 1
-        lead = f[-1]
-        f = [c * lg for c in f]
-        for i, gc in enumerate(g):
-            f[df - dg + i] -= lead * gc
-        steps += 1
-    rem = _strip(f)
-    if steps % 2 == 1 and lg < 0:
-        rem = tuple(-c for c in rem)
-    return _primitive(rem) if rem else ()
+def _prem(f: Coeffs, g: Coeffs) -> Coeffs:
+    """Primitive part of the pseudo-remainder of f by g (g nonzero)."""
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    while len(r) > dg:
+        lead = r.pop()
+        k = len(r) - dg
+        r = [c * lg for c in r]
+        for i in range(dg):
+            r[k + i] -= lead * g[i]
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r) if r else ()
 
 
 def _poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     """Primitive gcd over the integers (sign-normalized to positive lead)."""
     f, g = _primitive(a), _primitive(b)
     while g:
-        r = _rem_sign_preserving(f, g)
-        f, g = g, r
+        f, g = g, _prem(f, g)
     return f if f[-1] > 0 else tuple(-c for c in f)
 
 
+_MODULUS = (1 << 61) - 1  # a prime
+
+
+def _coprime_mod(a: Coeffs, b: Coeffs, m: int = _MODULUS) -> bool:
+    """Is gcd(a, b) a nonzero constant over the integers modulo the prime m?
+
+    Euclid on pseudo-remainders: scaling by the leading coefficient of the
+    divisor, a unit modulo m, changes no gcd and needs no inverse.
+    """
+    f = [c % m for c in a]
+    g = [c % m for c in b]
+    while g and not g[-1]:
+        g.pop()
+    while len(g) > 1:
+        lg, dg = g[-1], len(g) - 1
+        while len(f) > dg:
+            lead = f.pop()
+            k = len(f) - dg
+            for i in range(k):
+                f[i] = f[i] * lg % m
+            for i in range(dg):
+                f[k + i] = (f[k + i] * lg - lead * g[i]) % m
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(g) == 1
+
+
 def _squarefree_part(a: Coeffs) -> Coeffs:
+    """Primitive squarefree part, with a positive leading coefficient
+    unless a is constant.
+
+    When the leading coefficient is a unit modulo the prime _MODULUS, a and
+    a' coprime modulo it certify that a is squarefree: a repeated factor f of
+    a divides a and a', and keeps its degree modulo the prime, because its
+    leading coefficient divides that of a.  Otherwise the integer gcd decides.
+    """
     d = _deriv(a)
     if not d:
         return _primitive(a)
-    g = _poly_gcd(a, d)
-    if len(g) == 1:
+    if a[-1] % _MODULUS and _coprime_mod(a, d):
         out = _primitive(a)
     else:
-        out = _exact_div(a, g)
+        g = _poly_gcd(a, d)
+        out = _primitive(a) if len(g) == 1 else _exact_div(a, g)
     return out if out[-1] > 0 else tuple(-c for c in out)
 
 
@@ -385,14 +405,22 @@ def char_polynomial(w: EventuallyPeriodicWord) -> IntPolynomial:
     Built from the canonical (minimal) preperiod length q and period length
     p: the degree p+q evaluation polynomial minus the degree q one (minus the
     constant 1 when q = 0), sign-normalized to a positive leading coefficient.
+    Both share the shape of p_polynomial, so the coefficients are read off
+    the digits of pre + per in one pass.
     """
-    q, p = w.preperiod_length, w.period_length
-    head = p_polynomial(w.prefix(p + q)).coefficients
-    if q == 0:
-        tail: Coeffs = (1,)
-    else:
-        tail = p_polynomial(w.prefix(q)).coefficients
-    return IntPolynomial(_sub(head, tail)).sign_normalized()
+    q = len(w.pre)
+    digits = w.pre + w.per
+    m = len(digits)
+    coeffs = [0] * (m + 1)
+    coeffs[m] = 1
+    for e in range(m):
+        c = digits[m - 1 - e] + 1
+        if e < q:
+            c -= digits[q - 1 - e] + 1
+        elif e == q:
+            c -= 1
+        coeffs[e] = -c if (m - e) % 2 else c
+    return IntPolynomial(tuple(coeffs))
 
 
 # --- algebraic numbers -------------------------------------------------------

@@ -56,36 +56,13 @@ ENUMERATION_BOUND = 10
 
 # --- patterns of words and orbits -------------------------------------------
 
-def _tail_comparator(w: EventuallyPeriodicWord, n: int):
-    """Comparator of tail start positions 1..n of one word.
-
-    Two tails of the same word share its period, so they agree everywhere as
-    soon as they agree on preperiod + period digits; one flat digit array
-    covers every comparison.
-    """
-    q, p = w.preperiod_length, w.period_length
-    span = q + p + 1
-    digits = w.prefix(n + span)
-
-    def cmp(k1: int, k2: int) -> int:
-        if k1 == k2:
-            return 0
-        for i in range(span):
-            a, b = digits[k1 - 1 + i], digits[k2 - 1 + i]
-            if a != b:
-                return words.alt_order(a, b, i + 1)
-        return 0
-
-    return cmp
-
-
 def pat_of_word(w: EventuallyPeriodicWord, n: int) -> Permutation:
     """Ordinal pattern of the first n tails of w under alternating-lex order.
 
     pat(i) = j when the i-th tail is j-th smallest; coincident tails leave
     the pattern undefined.
     """
-    cmp = _tail_comparator(w, n)
+    cmp = words.tail_comparator(w, n)
     order = sorted(range(1, n + 1), key=functools.cmp_to_key(cmp))
     for a, b in zip(order, order[1:]):
         if cmp(a, b) == 0:
@@ -125,7 +102,7 @@ def prop1_check(w: EventuallyPeriodicWord, pi: Permutation) -> bool:
             if pi(j) > pi(i) and d[j - 1] - d[i - 1] < z[j - 1] - z[i - 1]:
                 return False
     lm = sk.landmarks
-    cmp = _tail_comparator(w, n)
+    cmp = words.tail_comparator(w, n)
     if pi(n) != 1 and cmp(n, lm.ell) <= 0:
         return False
     if pi(n) != pi.n and cmp(n, lm.r) >= 0:

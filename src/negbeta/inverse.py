@@ -60,17 +60,16 @@ def rho_of(w: EventuallyPeriodicWord) -> Permutation:
     """
     q, p, _ = w.padded_form()
     size = p + q
-    tails = [w.tail(i) for i in range(1, size)]
-    for i in range(len(tails)):
-        for j in range(i + 1, len(tails)):
-            if words.alt_lex_compare(tails[i], tails[j]) == 0:
-                raise DegenerateExpansionError(
-                    f"tails {i + 1} and {j + 1} of {w} coincide")
-    order = sorted(range(size - 1), key=functools.cmp_to_key(
-        lambda a, b: words.alt_lex_compare(tails[a], tails[b])))
+    cmp = words.tail_comparator(w, size - 1)
+    order = sorted(range(1, size), key=functools.cmp_to_key(cmp))
+    # equal tails sort next to each other, in increasing position
+    ties = [(a, b) for a, b in zip(order, order[1:]) if cmp(a, b) == 0]
+    if ties:
+        i, j = min(ties)
+        raise DegenerateExpansionError(f"tails {i} and {j} of {w} coincide")
     sigma = [0] * (size - 1)
-    for rank, idx in enumerate(order, start=1):
-        sigma[idx] = rank
+    for rank, start in enumerate(order, start=1):
+        sigma[start - 1] = rank
     sq = sigma[q - 1]
     if size % 2 == 0:
         image = [s + 1 if s >= sq else s for s in sigma] + [sq]

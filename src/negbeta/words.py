@@ -38,10 +38,10 @@ def _as_digits(seq) -> Digits:
 def primitive_root(v: Digits) -> tuple[Digits, int]:
     """Shortest word s and exponent k with v = s^k."""
     n = len(v)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and v == v[:d] * (n // d):
             return v[:d], n // d
-    raise AssertionError("unreachable")
+    return v, 1
 
 
 @dataclass(frozen=True)
@@ -233,22 +233,50 @@ def alt_lex_compare_finite(a, b) -> int:
     return EQUAL
 
 
+def tail_comparator(w: EventuallyPeriodicWord, n: int):
+    """Comparator of tail start positions 1..n of one word.
+
+    Two tails of the same word share its period, so they agree everywhere as
+    soon as they agree on preperiod + period digits; one flat digit array
+    covers every comparison, and no tail is built.
+    """
+    pre, per = w.pre, w.per
+    span = len(pre) + len(per) + 1
+    reps = -(-(n + span - len(pre)) // len(per))
+    digits = pre + per * reps
+
+    def cmp(k1: int, k2: int) -> int:
+        if k1 == k2:
+            return EQUAL
+        for i in range(span):
+            a, b = digits[k1 - 1 + i], digits[k2 - 1 + i]
+            if a != b:
+                return alt_order(a, b, i + 1)
+        return EQUAL
+
+    return cmp
+
+
 def sup_of_shifts(w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
     """Largest tail of w under the alternating lexicographical order.
 
     The supremum over all tails is attained at one of the first q+p tails,
     and the operation is idempotent.
     """
-    best = w
-    for k in range(2, len(w.pre) + len(w.per) + 1):
-        t = w.tail(k)
-        if alt_lex_compare(t, best) == GREATER:
-            best = t
-    return best
+    n = len(w.pre) + len(w.per)
+    cmp = tail_comparator(w, n)
+    best = 1
+    for k in range(2, n + 1):
+        if cmp(k, best) == GREATER:
+            best = k
+    return w if best == 1 else w.tail(best)
 
 
 def is_sup_fixed(w: EventuallyPeriodicWord) -> bool:
-    return sup_of_shifts(w) == w
+    """Is no tail of w greater than w itself?"""
+    n = len(w.pre) + len(w.per)
+    cmp = tail_comparator(w, n)
+    return all(cmp(k, 1) != GREATER for k in range(2, n + 1))
 
 
 def derived_word(v) -> Digits:

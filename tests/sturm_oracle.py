@@ -5,7 +5,8 @@ the code it checks.  Sturm's theorem counts the distinct real roots in a
 half-open interval exactly, so bisecting (lo, hi] at midpoints until a piece
 counts one root isolates every irrational root on the same midpoint grid the
 Descartes walk uses; the walk may stop deeper on it.  Only the polynomial
-primitives of ``negbeta.algebraic`` are shared.
+primitives of ``negbeta.algebraic`` are shared; the sign-preserving remainder
+that a Sturm chain needs lives here.
 """
 
 from fractions import Fraction
@@ -16,10 +17,33 @@ from negbeta.algebraic import (
     _exact_div,
     _primitive,
     _rational_roots,
-    _rem_sign_preserving,
     _sign_at,
     _squarefree_part,
+    _strip,
 )
+
+
+def _rem_sign_preserving(f, g):
+    """Euclidean remainder of f by g up to a positive rational factor, the
+    sign rule a Sturm chain needs."""
+    f = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    steps = 0
+    while True:
+        f = list(_strip(f))
+        if not f or len(f) - 1 < dg:
+            break
+        df = len(f) - 1
+        lead = f[-1]
+        f = [c * lg for c in f]
+        for i, gc in enumerate(g):
+            f[df - dg + i] -= lead * gc
+        steps += 1
+    rem = _strip(f)
+    if steps % 2 == 1 and lg < 0:
+        rem = tuple(-c for c in rem)
+    return _primitive(rem) if rem else ()
 
 
 def sturm_chain(a):

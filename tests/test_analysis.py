@@ -336,8 +336,9 @@ def test_spectrum_eight_is_pinned():
 
 
 def test_analyze_n14_gcd_and_rational_lift_budget(monkeypatch):
-    # the squarefree part of the characteristic polynomial is the only gcd;
-    # comparing the root with its digit bound lifts no rational to a root
+    # the characteristic polynomial is certified squarefree modulo a prime,
+    # so no gcd runs; comparing the root with its digit bound lifts no
+    # rational to a root
     gcds, lifts = [], []
     real_gcd = algebraic._poly_gcd
     monkeypatch.setattr(algebraic, "_poly_gcd", lambda *a: gcds.append(a) or real_gcd(*a))
@@ -346,7 +347,7 @@ def test_analyze_n14_gcd_and_rational_lift_budget(monkeypatch):
                         classmethod(lambda cls, v: lifts.append(v) or real_lift(cls, v)))
     report = analyze("14,3,12,1,9,6,13,2,8,11,4,10,7,5")
     assert report.b_minus.decimal(12) == "6.812708576275"
-    assert (len(gcds), len(lifts)) == (1, 0)
+    assert (len(gcds), len(lifts)) == (0, 0)
 
 
 def test_spectrum_six_gcd_budget(monkeypatch):
