@@ -240,10 +240,8 @@ def tail_comparator(w: EventuallyPeriodicWord, n: int):
     soon as they agree on preperiod + period digits; one flat digit array
     covers every comparison, and no tail is built.
     """
-    pre, per = w.pre, w.per
-    span = len(pre) + len(per) + 1
-    reps = -(-(n + span - len(pre)) // len(per))
-    digits = pre + per * reps
+    span = len(w.pre) + len(w.per) + 1
+    digits = w.pre + w.per * (n // len(w.per) + 2)  # n + span - 1 digits or more
 
     def cmp(k1: int, k2: int) -> int:
         if k1 == k2:
