@@ -183,21 +183,25 @@ def _squarefree_part(a: Coeffs) -> Coeffs:
 
 
 def _exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Exact polynomial division over the rationals, result cleared to a
-    primitive integer polynomial."""
-    rem = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    db = len(b) - 1
-    lb = Fraction(b[-1])
+    """Exact division by a primitive b, result made primitive.
+
+    By Gauss's lemma the quotient of an integer polynomial by a primitive
+    one is an integer polynomial, so the long division stays in integers.
+    """
+    rem = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    db, lb = len(b) - 1, b[-1]
     for i in range(len(a) - len(b), -1, -1):
-        coef = rem[i + db] / lb
+        coef, r = divmod(rem[i + db], lb)
+        if r:
+            raise InvariantError("polynomial division was not exact")
         out[i] = coef
         if coef:
             for j, bc in enumerate(b):
                 rem[i + j] -= coef * bc
     if any(rem):
         raise InvariantError("polynomial division was not exact")
-    return _primitive(_strip(_over_common_denominator(out)[0]))
+    return _primitive(_strip(out))
 
 
 # --- Descartes' rule of signs ------------------------------------------------
@@ -460,7 +464,7 @@ class AlgebraicNumber:
         the squarefree part vanishes makes the number exact.  Deep
         refinements land on the same cell with Newton steps (see _land)."""
         if self.exact is not None:
-            return (self.exact, self.exact)
+            return self.interval
         if not isinstance(tol, Fraction):
             tol = Fraction(tol)
         if tol.numerator <= 0:

@@ -443,10 +443,9 @@ def _condition_i_prefixes(sk: Skeleton, alphabet_size: int) -> list[tuple[int, .
 
 def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
                       admissibility: MembershipOracle | None = None,
-                      stop_at_first: bool = True,
-                      ) -> list[EventuallyPeriodicWord]:
-    """All (or the first) eventually periodic words within bounds realizing
-    pi, optionally restricted to words admissible for a given base.
+                      ) -> EventuallyPeriodicWord | None:
+    """The first eventually periodic word within bounds realizing pi, or
+    None, optionally restricted to words admissible for a given base.
 
     Candidates are prefix choices satisfying the digit-gap condition followed
     by a digit-string DFS; a string is abandoned as soon as one of the tail
@@ -457,7 +456,6 @@ def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
     n = pi.n
     sk = skeleton(pi)
     lm = sk.landmarks
-    found: list[EventuallyPeriodicWord] = []
     seen: set[tuple] = set()
     tail_pre_max = max(0, bounds.max_prefix - (n - 1))
     depth_max = tail_pre_max + bounds.max_period
@@ -468,39 +466,38 @@ def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
         if upper is not None and lower is not None and not lower < upper:
             continue
 
-        def check(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+        def check(x: tuple[int, ...], y: tuple[int, ...]) -> EventuallyPeriodicWord | None:
             w = canonicalize(prefix + x, y)
             key = (w.pre, w.per)
             if key in seen:
-                return False
+                return None
             seen.add(key)
             if len(w.pre) > bounds.max_prefix or len(w.per) > bounds.max_period:
-                return False
+                return None
             try:
                 if pat_of_word(w, n) != pi:
-                    return False
+                    return None
             except PatternUndefinedError:
-                return False
+                return None
             if admissibility is not None and not admissibility.contains(w):
-                return False
-            found.append(w)
-            return True
+                return None
+            return w
 
         # DFS over the tail digit string; tieL/tieU: still equal to the
         # periodized landmark word; suffix ties vs the admissibility bounds.
-        def dfs(tail: list[int], tie_lo: bool, tie_hi: bool,
-                tied_d1: tuple[int, ...], tied_low: tuple[int, ...]) -> bool:
+        def dfs(tail: list[int], tie_lo: bool, tie_hi: bool, tied_d1: tuple[int, ...],
+                tied_low: tuple[int, ...]) -> EventuallyPeriodicWord | None:
             depth = len(tail)
             for i in range(max(1, depth - bounds.max_period), min(tail_pre_max, depth - 1) + 1):
-                if check(tuple(tail[:i]), tuple(tail[i:])):
-                    if stop_at_first:
-                        return True
-            if depth >= 1 and depth <= bounds.max_period:
-                if check((), tuple(tail)):
-                    if stop_at_first:
-                        return True
+                w = check(tuple(tail[:i]), tuple(tail[i:]))
+                if w is not None:
+                    return w
+            if 1 <= depth <= bounds.max_period:
+                w = check((), tuple(tail))
+                if w is not None:
+                    return w
             if depth == depth_max:
-                return False
+                return None
             pos = n + depth  # 1-based position of the next digit in the full word
             for d in range(alphabet_size):
                 t_lo, t_hi = tie_lo, tie_hi
@@ -526,11 +523,11 @@ def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
                 else:
                     new_d1, new_low = tied_d1, tied_low
                 tail.append(d)
-                if dfs(tail, t_lo, t_hi, new_d1, new_low):
-                    tail.pop()
-                    return True
+                w = dfs(tail, t_lo, t_hi, new_d1, new_low)
                 tail.pop()
-            return False
+                if w is not None:
+                    return w
+            return None
 
         all_digits = prefix
         tied_d1: tuple[int, ...] = ()
@@ -544,9 +541,10 @@ def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
                     break
         if not prefix_ok:
             continue
-        if dfs([], lower is not None, upper is not None, tied_d1, tied_low) and stop_at_first:
-            return found
-    return found
+        w = dfs([], lower is not None, upper is not None, tied_d1, tied_low)
+        if w is not None:
+            return w
+    return None
 
 
 def _advance_ties(adm: MembershipOracle, tied_d1: tuple[int, ...], tied_low: tuple[int, ...],
@@ -587,9 +585,9 @@ def min_alphabet_bruteforce(pi, max_prefix: int | None = None,
         max_alphabet=max_alphabet if max_alphabet is not None else defaults.max_alphabet,
     )
     for size in range(1, bounds.max_alphabet + 1):
-        hits = _search_realizing(pi, size, bounds, stop_at_first=True)
-        if hits:
-            return size, hits[0]
+        hit = _search_realizing(pi, size, bounds)
+        if hit is not None:
+            return size, hit
     raise SearchInconclusiveError(
         f"no realizing word over alphabets up to {bounds.max_alphabet} within bounds for {pi}")
 
@@ -630,10 +628,9 @@ def _witness_above(report: AnalysisReport, margin: Fraction,
         except PatternUndefinedError:
             continue
     bounds = bounds or SearchBounds.default(n)
-    hits = _search_realizing(pi, beta.floor() + 1, bounds,
-                             admissibility=oracle, stop_at_first=True)
-    if hits:
-        return hits[0]
+    hit = _search_realizing(pi, beta.floor() + 1, bounds, admissibility=oracle)
+    if hit is not None:
+        return hit
     raise SearchInconclusiveError(f"no admissible witness found for {pi} within bounds")
 
 
@@ -703,10 +700,8 @@ def realizable_at(pi, beta, bounds: SearchBounds | None = None,
     pi = perm(pi)
     beta = BetaValue.of(beta)
     bounds = bounds or SearchBounds.default(pi.n)
-    hits = _search_realizing(pi, beta.floor() + 1, bounds,
-                             admissibility=MembershipOracle(beta, precision),
-                             stop_at_first=True)
-    return hits[0] if hits else None
+    return _search_realizing(pi, beta.floor() + 1, bounds,
+                             admissibility=MembershipOracle(beta, precision))
 
 
 def sandwich_check(pi, margin=Fraction(1, 20),

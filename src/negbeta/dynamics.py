@@ -2,11 +2,12 @@
 
 The transformation sends x to floor(beta*x) + 1 - beta*x on (0,1]; iterating
 from 1 produces the expansion digits that govern the whole shift.  Orbit
-points are held exactly: as rationals when the base is rational, as
-polynomial expressions in the base (reduced modulo its defining polynomial)
-when it is algebraic.  Floors and equalities of orbit points are certified by
-interval refinement combined with an exact vanishing test against the
-defining polynomial, so digit output never rests on floating point.
+points are held exactly, as polynomial expressions in the base reduced modulo
+its defining polynomial; a rational base p/q has the defining polynomial
+q x - p, so its points are rationals.  Floors and equalities of orbit points
+are certified by interval refinement combined with an exact vanishing test
+against the defining polynomial, so digit output never rests on floating
+point.
 """
 
 from __future__ import annotations
@@ -61,17 +62,17 @@ _TOL_64 = Fraction(1, 2**64)
 
 @dataclass(frozen=True)
 class BetaValue:
-    """A base beta > 1: exact rational or algebraic with refinable interval."""
+    """A base beta > 1, an algebraic number with a refinable interval; a
+    rational base is the root of a polynomial of degree 1."""
 
-    rational: Fraction | None = None
-    algebraic: AlgebraicNumber | None = None
+    algebraic: AlgebraicNumber
 
     @classmethod
     def from_rational(cls, value) -> "BetaValue":
         value = Fraction(value)
         if value <= 1:
             raise NegBetaError(f"base must exceed 1, got {value}")
-        return cls(rational=value)
+        return cls(AlgebraicNumber.from_rational(value))
 
     @classmethod
     def from_algebraic(cls, num: AlgebraicNumber) -> "BetaValue":
@@ -79,7 +80,7 @@ class BetaValue:
             return cls.from_rational(num.exact)
         if num.compare(1) <= 0:
             raise NegBetaError("base must exceed 1")
-        return cls(algebraic=num)
+        return cls(num)
 
     @classmethod
     def of(cls, value) -> "BetaValue":
@@ -91,68 +92,26 @@ class BetaValue:
             raise NegBetaError("base must exceed 1")
         return cls.from_rational(value)
 
+    @property
+    def rational(self) -> Fraction | None:
+        return self.algebraic.exact
+
     def is_rational(self) -> bool:
-        return self.rational is not None
+        return self.algebraic.is_rational()
 
     def floor(self) -> int:
-        if self.rational is not None:
-            return self.rational.numerator // self.rational.denominator
         return self.algebraic.floor()
 
-    def interval(self, tol: Fraction) -> tuple[Fraction, Fraction]:
-        if self.rational is not None:
-            return (self.rational, self.rational)
-        return self.algebraic.refine(tol)
-
     def __float__(self):
-        if self.rational is not None:
-            return float(self.rational)
         return float(self.algebraic)
 
     def __str__(self):
-        if self.rational is not None:
-            return str(self.rational)
         return str(self.algebraic)
 
 
-class _RationalArith:
-    """Exact orbit arithmetic for a rational base."""
-
-    def __init__(self, beta: Fraction):
-        self.beta = beta
-
-    def serves(self, beta: BetaValue) -> bool:
-        return beta.rational == self.beta
-
-    def reads(self, other) -> bool:
-        return isinstance(other, _RationalArith) and other.beta == self.beta
-
-    def one(self):
-        return Fraction(1)
-
-    def from_rational(self, x: Fraction):
-        return Fraction(x)
-
-    def step(self, x: Fraction) -> tuple[int, Fraction]:
-        v = self.beta * x
-        d = v.numerator // v.denominator
-        return d, d + 1 - v
-
-    def equal(self, x, y) -> bool:
-        return x == y
-
-    def compare(self, x, y) -> int:
-        return (x > y) - (x < y)
-
-    def enclosure(self, x, tol) -> tuple[Fraction, Fraction]:
-        return (x, x)
-
-    def key(self, x):
-        return x
-
-
 class _AlgebraicArith:
-    """Exact orbit arithmetic in Q(beta) for an algebraic base.
+    """Exact orbit arithmetic in Q(beta); a rational base p/q is Q(beta) with
+    the defining polynomial q x - p.
 
     A point is a pair (nums, den): the integer numerators of the coefficients
     of a polynomial in beta of degree below the squarefree defining
@@ -327,9 +286,11 @@ class _AlgebraicArith:
         return n // den if n >= 0 else -(-n // den)
 
 
+# bench/tracing.py patches _RationalArith.step, so the name stays bound.
+_RationalArith = _AlgebraicArith
+
+
 def _arith_for(beta: BetaValue, precision: PrecisionConfig):
-    if beta.is_rational():
-        return _RationalArith(beta.rational)
     return _AlgebraicArith(beta.algebraic, precision)
 
 
@@ -417,11 +378,8 @@ class DigitStream:
 
     def _find_repeat(self, index: int, key) -> int | None:
         candidates = []
-        if isinstance(key, Fraction):
-            candidates = self._buckets.get(key, [])
-        else:
-            for k in (key - 1, key, key + 1):
-                candidates.extend(self._buckets.get(k, []))
+        for k in (key - 1, key, key + 1):
+            candidates.extend(self._buckets.get(k, []))
         for i in sorted(set(candidates)):
             if i < index and self.arith.equal(self._points[i], self._points[index]):
                 return i

@@ -194,6 +194,11 @@ def test_malformed_base_exit_code(beta):
     (["analyze", "1423"], "analyze_1423.json"),
     (["analyze", "312"], "analyze_312.json"),
     (["analyze", "14,3,12,1,9,6,13,2,8,11,4,10,7,5"], "analyze_n14.json"),
+    (["verify", "23541"], "verify_23541.json"),
+    (["expansion", "--beta", "21/10", "--digits", "400"], "expansion_21_10.json"),
+    (["expansion", "--beta", "3/2", "--digits", "300", "--no-period"],
+     "expansion_3_2_no_period.json"),
+    (["member", "1(0)", "--beta", "21/10"], "member_21_10.json"),
 ])
 def test_output_matches_golden_envelope(argv, golden):
     expected = json.loads((DATA / golden).read_text())

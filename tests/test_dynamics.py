@@ -97,8 +97,9 @@ def test_digits_bounded_by_floor():
 # --- expansion of 1 ------------------------------------------------------------------
 
 def test_expansion_of_one_integer_base():
-    res = expansion_of_one(2)
-    assert res.is_periodic and res.word == word("(2)")
+    for base, expected in ((2, "(2)"), (3, "(3)")):
+        res = expansion_of_one(base)
+        assert res.is_periodic and res.word == word(expected)
 
 
 def test_expansion_of_one_golden():
@@ -112,14 +113,40 @@ def test_expansion_of_one_fig1_base():
 
 
 def test_expansion_of_one_non_integer_rational_never_periodic():
-    res = expansion_of_one(Fraction(7, 3), max_digits=60)
-    assert not res.is_periodic
-    assert len(res.digits) == 60
+    for base, budget in ((Fraction(7, 3), 60), (Fraction(3, 2), 200)):
+        res = expansion_of_one(base, max_digits=budget)
+        assert not res.is_periodic
+        assert len(res.digits) == budget
 
 
 def test_expansion_of_degree_eight_base():
     beta = BetaValue.from_algebraic(b_of(word("(30121023)")))
     assert expansion_of_one(beta).word == word("(30121023)")
+
+
+# --- rational bases: the orbit arithmetic at degree 1 against plain Fractions ------
+
+@st.composite
+def rational_bases(draw):
+    q = draw(st.integers(1, 12))
+    return Fraction(draw(st.integers(q + 1, 5 * q)), q)
+
+
+@given(rational_bases(), st.integers(1, 30).flatmap(
+    lambda den: st.builds(Fraction, st.integers(1, den), st.just(den))),
+    st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_rational_base_orbit_matches_fraction_iteration(beta, x, count):
+    points, digits = [x], []
+    for _ in range(count):
+        v = beta * x
+        digits.append(v.numerator // v.denominator)
+        x = t_step_rational(beta, x)
+        points.append(x)
+    assert expansion_digits(beta, points[0], count) == tuple(digits)
+    arith, orbit = orbit_points(beta, points[0], count + 1)
+    tol = Fraction(1, 2**64)
+    assert [arith.enclosure(pt, tol) for pt in orbit] == [(f, f) for f in points]
 
 
 # --- admissibility -------------------------------------------------------------------
