@@ -11,20 +11,13 @@ import pathlib
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_tracing", pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_tracer = _tracing()
-
-
-@pytest.mark.parametrize("module,attr", [(m, a) for _, m, a in _tracer.LAYERS + _tracer.COUNTERS])
+@pytest.mark.parametrize("module,attr", [(m, a) for _, m, a in tracing.LAYERS + tracing.COUNTERS])
 def test_every_traced_name_resolves(module, attr):
     mod = importlib.import_module("negbeta." + module)
     if "." in attr:
