@@ -75,6 +75,20 @@ def _primitive(a: Coeffs) -> Coeffs:
     return tuple(x // g for x in a)
 
 
+def _roots_not_integral(a: Coeffs) -> bool:
+    """Is there a prime dividing a_1, ..., a_d but not a_0?  Then no root of
+    a_0 + a_1 x + ... + a_d x^d is an algebraic integer.
+
+    Proof: take such a prime p and a root beta.  If beta were an algebraic
+    integer, a_0 = -beta (a_1 + ... + a_d beta^(d-1)) would be p times an
+    algebraic integer, so a_0 / p would be a rational algebraic integer,
+    hence an integer, which it is not.  The test is sufficient, not
+    necessary: it misses (2x - 1)(x^2 - x - 1).
+    """
+    g = _content(a[1:])
+    return g > 1 and int_gcd(g, a[0]) == 1
+
+
 def _over_common_denominator(xs) -> tuple[list[int], int]:
     """Integer numerators of the rationals xs over their least common denominator."""
     den = 1

@@ -23,6 +23,7 @@ from .algebraic import (
     _has_root,
     _over_common_denominator,
     _poly_gcd,
+    _roots_not_integral,
     _strip,
     b_of,
 )
@@ -133,8 +134,10 @@ class _AlgebraicArith:
         self._image = None
 
     def serves(self, beta: BetaValue) -> bool:
-        # the enclosures depend on the interval state of num, so identity
-        return beta.algebraic is self.num
+        # the enclosures depend on the interval state of num, so identity;
+        # an exact number's interval never changes, so its value suffices
+        num = beta.algebraic
+        return num is self.num or (num.exact is not None and num.exact == self.num.exact)
 
     def reads(self, other) -> bool:
         """Do the points of the arithmetic other hold the same numbers here?"""
@@ -513,11 +516,13 @@ class MembershipOracle:
         beta = BetaValue.of(beta)
         self.stream = DigitStream(beta, 1, precision, max_digits=compare_cap)
         self.compare_cap = compare_cap
-        if beta.is_rational() and beta.rational.denominator > 1:
-            # A non-integer rational base is not an algebraic integer, hence
-            # never Yrrap: its expansion of 1 cannot be eventually periodic,
-            # so the plain lower-bound form is correct at every depth and
-            # period detection would only burn huge exact denominators.
+        if _roots_not_integral(beta.algebraic._sf):
+            # The base is not an algebraic integer (a non-integer rational,
+            # or a threshold shifted by a non-integer margin, as in verify).
+            # An eventually periodic expansion of 1 would give a monic integer
+            # relation, T^k(1) = (-beta)^k + lower terms, so the expansion is
+            # never periodic: the plain lower-bound form is correct at every
+            # depth and period detection would only burn growing denominators.
             self.period_budget = compare_cap
             self.word = None
         else:

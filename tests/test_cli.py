@@ -199,6 +199,9 @@ def test_malformed_base_exit_code(beta):
     (["expansion", "--beta", "3/2", "--digits", "300", "--no-period"],
      "expansion_3_2_no_period.json"),
     (["member", "1(0)", "--beta", "21/10"], "member_21_10.json"),
+    (["verify", "526413"], "verify_526413.json"),
+    # B-(1423) + 1/20, not an algebraic integer, so no period search
+    (["member", "21(10)", "--beta", "poly:-379,-440,400:1"], "member_poly_shifted_1423.json"),
 ])
 def test_output_matches_golden_envelope(argv, golden):
     expected = json.loads((DATA / golden).read_text())
