@@ -23,6 +23,7 @@ from negbeta.algebraic import (
     shift_root,
     _has_root,
     _mul,
+    _roots_not_integral,
     _sign_at,
     _squarefree_part,
 )
@@ -403,6 +404,56 @@ def test_shift_root_polynomial_is_the_shifted_primitive(coeffs, c):
         ints = algebraic._over_common_denominator(shifted)[0]
         want = IntPolynomial(algebraic._primitive(tuple(ints))).sign_normalized()
         assert shift_root(root, c).polynomial == want
+
+
+# --- the certificate that no root is an algebraic integer -----------------------------
+
+@given(st.integers(-60, 60), st.integers(1, 30))
+def test_a_rational_base_is_certified_exactly_when_it_is_no_integer(p, q):
+    r = Fraction(p, q)
+    assert _roots_not_integral(AlgebraicNumber.from_rational(r)._sf) == (r.denominator > 1)
+    assert _roots_not_integral((-r.numerator, r.denominator)) == (r.denominator > 1)
+
+
+def test_thresholds_shifted_by_a_non_integer_are_certified():
+    threshold_words = _threshold_words(6)
+    assert len(threshold_words) == 208
+    for a in threshold_words:
+        b = b_of(a)
+        for c in (Fraction(1, 20), Fraction(-1, 20), Fraction(1, 3), Fraction(-1, 3)):
+            assert _roots_not_integral(shift_root(b, c)._sf), (a, c)
+        for c in (1, -1):
+            assert not _roots_not_integral(shift_root(b, c)._sf), (a, c)
+
+
+@given(st.lists(st.integers(-50, 50), max_size=7))
+def test_a_monic_polynomial_is_never_certified(low):
+    coeffs = (*low, 1)
+    assert not _roots_not_integral(coeffs)
+    assert not _roots_not_integral(_squarefree_part(coeffs))
+
+
+def test_the_certificate_is_sufficient_not_necessary():
+    # the root 1/2 is no algebraic integer, but the golden ratio is
+    assert not _roots_not_integral(_mul((-1, 2), (-1, -1, 1)))
+
+
+def test_certified_roots_have_a_non_monic_minimal_polynomial():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    @given(st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6]),
+           st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda c: c[-1] != 0))
+    @settings(max_examples=60, deadline=None)
+    def check(a0, m, high):
+        coeffs = (a0, *(m * c for c in high))
+        if not _roots_not_integral(coeffs):
+            return
+        for root in sympy.Poly(list(reversed(coeffs)), x).all_roots():
+            lead = sympy.Poly(sympy.minimal_polynomial(root, x), x).LC()
+            assert abs(lead) != 1, (coeffs, root)
+
+    check()
 
 
 # --- the base attached to a word -----------------------------------------------------

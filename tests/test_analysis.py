@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negbeta import algebraic, analysis, permutations
+from negbeta import algebraic, analysis, dynamics, permutations
 from negbeta.algebraic import (
     IntPolynomial,
     _poly_gcd,
@@ -484,3 +485,30 @@ def test_sandwich_representative(monkeypatch):
     assert rep.passed
     assert rep.witness_above is not None
     assert rep.found_below is None and rep.found_at is None
+
+
+def test_sandwich_oracles_search_periods_only_at_possible_algebraic_integers(monkeypatch):
+    steps = collections.Counter()
+    real_step = dynamics._AlgebraicArith.step
+    monkeypatch.setattr(dynamics._AlgebraicArith, "step",
+                        lambda arith, x: steps.update([arith]) or real_step(arith, x))
+    oracles = []
+
+    class Recording(MembershipOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            oracles.append(self)
+
+    monkeypatch.setattr(analysis, "MembershipOracle", Recording)
+    seen = {}
+    for pi in ("4321", "14523", "23541"):
+        oracles.clear()
+        assert sandwich_check(pi).passed
+        seen[pi] = [(o.word and str(o.word), o.period_budget, steps[o.stream.arith]) for o in oracles]
+    # above B- + 1/20, below B- - 1/20 and at B-; only B- is an algebraic
+    # integer, and the steps at B- +- 1/20 are the tail comparisons alone
+    assert seen == {
+        "4321": [(None, 20000, 6), (None, 20000, 4), ("21(0)", 600, 3)],
+        "14523": [(None, 20000, 8), (None, 20000, 6), ("1(0)", 600, 2)],
+        "23541": [(None, 20000, 4), (None, 20000, 0), ("(2)", 600, 1)],
+    }

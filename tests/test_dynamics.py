@@ -181,6 +181,17 @@ def test_membership_oracle_digit_bounds():
     assert [oracle.lower_digit(i) for i in range(1, 9)] == [0] + d1
 
 
+def test_membership_oracle_searches_periods_unless_the_base_is_certified():
+    # the root 1/2 of (2x - 1)(x^2 - x - 1) hides the golden ratio from the
+    # certificate, so its oracle still finds the period of 1(0)
+    poly = IntPolynomial(_mul((-1, 2), (-1, -1, 1)))
+    oracle = MembershipOracle(isolate_real_roots(poly, Fraction(1), Fraction(2))[0])
+    assert oracle.word == word("1(0)") and oracle.period_budget == 600
+    shifted = MembershipOracle(shift_root(largest_root_gt1(GOLDEN), Fraction(1, 20)))
+    assert shifted.word is None and shifted.period_budget == shifted.compare_cap
+    assert shifted.stream.digits == []
+
+
 def test_membership_monotone_across_the_base():
     w = word("110010(2)")
     b = b_of(sup_of_shifts(w))
@@ -559,6 +570,22 @@ def test_step_reuses_the_orbit_arithmetic_of_its_state(monkeypatch):
     other = parse_beta(DEGREE_SIX, DEFAULT_PRECISION)
     assert step(other, state).digits_so_far[:32] == state.digits_so_far
     assert len(built) == 2
+
+
+def test_step_at_a_rational_given_as_a_number_builds_one_arithmetic(monkeypatch):
+    beta = BetaValue.of(Fraction(3, 2))
+    refs = [initial_state(beta, 1)]
+    for _ in range(300):
+        refs.append(step(beta, refs[-1]))
+    built = []
+    real = dynamics._arith_for
+    monkeypatch.setattr(dynamics, "_arith_for", lambda *a: built.append(a) or real(*a))
+    state = initial_state(Fraction(3, 2), 1)
+    for ref in refs[1:]:
+        state = step(Fraction(3, 2), state)
+        assert state.current == ref.current
+    assert state.digits_so_far == refs[-1].digits_so_far
+    assert len(built) == 1
 
 
 def test_step_rejects_a_state_of_another_base():
