@@ -28,13 +28,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd as int_gcd
-
-import mpmath
-from mpmath.libmp import to_rational
+from math import gcd as int_gcd, isqrt
 
 from . import words
-from .errors import InvariantError, MalformedBaseError, NegBetaError, SupNotFixedError
+from .errors import (InvariantError, MalformedBaseError, NegBetaError, SupNotFixedError,
+                     UndecidableAtPrecisionError)
 from .words import EventuallyPeriodicWord
 
 Coeffs = tuple[int, ...]  # ascending degree
@@ -126,7 +124,10 @@ def _has_root(g: Coeffs, lo: Fraction, hi: Fraction) -> bool:
 
 
 def _prem(f: Coeffs, g: Coeffs) -> Coeffs:
-    """Primitive part of the pseudo-remainder of f by g (g nonzero)."""
+    """Primitive part of the pseudo-remainder of f by g (g nonzero), a
+    positive multiple of the remainder: g is taken with a positive lead."""
+    if g[-1] < 0:
+        g = tuple(-c for c in g)
     r = list(f)
     dg, lg = len(g) - 1, g[-1]
     while len(r) > dg:
@@ -656,13 +657,8 @@ def _rational_roots(a: Coeffs) -> list[Fraction]:
     a0, an = abs(a[0]), abs(a[-1])
 
     def divisors(n: int) -> list[int]:
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.extend((d, n // d))
-            d += 1
-        return sorted(set(out))
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return sorted({*small, *(n // d for d in small)})
 
     # p/q in lowest terms covers every candidate once; the sign test is exact
     for p in divisors(a0):
@@ -813,85 +809,95 @@ def shift_root(num: AlgebraicNumber, c) -> AlgebraicNumber:
     return AlgebraicNumber(IntPolynomial(shifted).sign_normalized(), (lo + c, hi + c))
 
 
+# --- Pisot and Perron numbers ------------------------------------------------
+
 PISOT = "pisot"
 PERRON_NOT_PISOT = "perron_not_pisot"
 NEITHER = "neither"
 
 
-def _certified_roots(sf: Coeffs, dps: int = 60):
-    """Approximate all complex roots of a squarefree integer polynomial with
-    certified enclosure radii (distance to the nearest true root is at most
-    deg * |P(r)/P'(r)| for each approximation r).  |P(r)| is taken with the
-    rounding error Horner's rule can make at the working precision, so a
-    radius never claims more than that precision resolves."""
-    with mpmath.workdps(dps):
-        coeffs = [mpmath.mpf(c) for c in reversed(sf)]
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
-        deg = len(sf) - 1
-        der = _deriv(sf)
-        rounding = 4 * (deg + 1) * mpmath.eps
-        out = []
-        for r in roots:
-            pr = mpmath.polyval(coeffs, r)
-            dpr = mpmath.polyval([mpmath.mpf(c) for c in reversed(der)], r)
-            pr_bound = abs(pr) + rounding * mpmath.polyval([abs(c) for c in coeffs], abs(r))
-            rad = deg * pr_bound / abs(dpr)
-            out.append((mpmath.mpc(r), mpmath.mpf(rad)))
-        return out
+def _outside_and_on(f: Coeffs, r: Fraction) -> tuple[int, int]:
+    """How many roots of the squarefree integer polynomial f lie outside the
+    circle |z| = r > 0, and how many on it (Routh-Hurwitz; Marden 1966).
+
+    z = r (w + 1) / (w - 1) maps the outside to the right half-plane, the
+    circle to the imaginary axis and z = r to w = oo, where g(w) = (w - 1)^n
+    f(z) loses a degree.  With g(iy) = U(y) + i V(y), the axis roots are iy
+    for the real roots y of D = gcd(U, V); D's other roots give pairs w, -w
+    of roots.  Along the axis g / D, of degree m, turns by pi (E - I): I is
+    the Cauchy index of V / U, read off the signed remainder sequence of U
+    and V (ending in D) at -oo and +oo, and E is the sign of lc(U) lc(V) if
+    deg V > deg U, else 0.  So (m - E + I) / 2 of its roots lie right.
+    """
+    h = _on_unit(f, 0, r.numerator, r.denominator)  # its roots are f's over r
+    g = _strip(_taylor_shift([c << i for i, c in enumerate(_taylor_shift(h, 1))][::-1], -1))
+    iy = [-c if k & 2 else c for k, c in enumerate(g)]  # g(iy) = sum c i^k y^k
+    U = _strip([c if k % 2 == 0 else 0 for k, c in enumerate(iy)])
+    V = _strip([c if k % 2 else 0 for k, c in enumerate(iy)])
+    seq = [p for p in (U, V) if p]
+    while len(seq) > 1 and (rem := _prem(seq[-2], seq[-1])):
+        seq.append(tuple(-c for c in rem))
+    D = IntPolynomial(seq[-1])
+    axis = len(isolate_real_roots(D, -root_upper_bound(D), root_upper_bound(D)))
+    outside, m = (D.degree - axis) // 2, len(g) - len(seq[-1])
+    if m:
+        turn = (U[-1] * V[-1] > 0) - (U[-1] * V[-1] < 0) if len(V) > len(U) else 0
+        at_minus_oo = _variations([p[-1] * (-1) ** (len(p) - 1) for p in seq])
+        index = at_minus_oo - _variations([p[-1] for p in seq])
+        outside += (m - turn + index) // 2
+    return outside, axis + len(h) - len(g)
 
 
-def _mpf_fraction(x) -> Fraction:
-    """The exact value of a finite binary float, mpmath's or Python's."""
-    if isinstance(x, mpmath.mpf):
-        return Fraction(*to_rational(x._mpf_))
-    return Fraction(x)
-
-
-def _conjugates(num: AlgebraicNumber) -> list:
-    """Certified enclosures of the roots of num's squarefree part other than
-    num itself, which must be matched by exactly one enclosure."""
-    lo, hi = num.refine(Fraction(1, 10**12))
-    conjugates = []
-    self_seen = False
-    for z, rad in _certified_roots(num._sf):
-        # exact comparison: the interval may be narrower than a double
-        # resolves, and the enclosure's binary endpoints are rationals
-        r = _mpf_fraction(rad)
-        if not self_seen and abs(z.imag) < rad + 1e-30 and lo - r <= _mpf_fraction(z.real) <= hi + r:
-            self_seen = True
-            continue
-        conjugates.append((z, rad))
-    if not self_seen:
-        raise InvariantError("the root itself was not matched among the enclosures")
-    return conjugates
+def _conjugate_part(num: AlgebraicNumber) -> Coeffs | None:
+    """num's squarefree part with the factor x and every cyclotomic factor
+    Phi_k divided out, or None unless that part is monic and num > 1.  Phi_k
+    divides x^k - 1 and has degree phi(k) >= sqrt(k / 2)."""
+    f = num._sf
+    if abs(f[-1]) != 1 or num.compare(1) <= 0:
+        return None
+    f = f[next(i for i, c in enumerate(f) if c):]
+    d = len(f) - 1
+    for k in range(1, 2 * d * d + 1):
+        if sum(int_gcd(j, k) == 1 for j in range(k)) <= d:  # phi(k)
+            g = _poly_gcd(f, (-1, *[0] * (k - 1), 1))
+            if len(g) > 1:
+                f = _exact_div(f, g)
+    return f
 
 
 def classify_perron_pisot(num: AlgebraicNumber) -> str:
-    """Pisot: algebraic integer above 1 with every other root of the
-    squarefree defining part strictly inside the unit circle.  Perron: those
-    other roots merely strictly smaller in modulus.  Everything else
-    (including non-integer rationals): neither.
-    """
+    """Pisot: an algebraic integer above 1 whose other roots lie strictly
+    inside the unit circle.  Perron: those roots merely strictly smaller in
+    modulus.  Anything else, non-integer rationals too: neither.  Counts the
+    roots of _conjugate_part; Q(x^k) with k > 1 has the root beta e^(2 pi i
+    / k), and otherwise no conjugate has modulus beta (Boyd 1994), so a root
+    outside hi rules Perron out and beta alone outside lo proves it."""
     if num.is_rational():
-        if num.exact.denominator != 1:
-            return NEITHER
-        return PISOT if num.exact > 1 else NEITHER
-    if abs(num._sf[-1]) != 1:
+        return PISOT if num.exact.denominator == 1 and num.exact > 1 else NEITHER
+    f = _conjugate_part(num)
+    if f is None:
         return NEITHER
-    lo, hi = num.refine(Fraction(1, 10**12))
-    if hi <= 1:
-        return NEITHER
-    conjugates = _conjugates(num)
-    margin = Fraction(1, 10**6)
-    if all(abs(z) + rad < 1 - float(margin) for z, rad in conjugates):
+    if _outside_and_on(f, Fraction(1)) == (1, 0):
         return PISOT
-    if all(abs(z) + rad < float(lo) for z, rad in conjugates):
-        return PERRON_NOT_PISOT
-    return NEITHER
+    if int_gcd(*(k for k, c in enumerate(f) if c)) > 1:
+        return NEITHER
+    for bits in (16, 32, 64, 128, 256):
+        lo, hi = num.refine(Fraction(1, 2**bits))
+        if _outside_and_on(f, hi) != (0, 0):
+            return NEITHER
+        if _outside_and_on(f, lo) == (1, 0):
+            return PERRON_NOT_PISOT
+    raise UndecidableAtPrecisionError(f"Perron test undecided for the root in [{lo}, {hi}]")
 
 
 def conjugate_modulus_margin(num: AlgebraicNumber) -> float:
-    """1 minus the largest conjugate modulus (for Pisot margin reporting)."""
+    """For a Pisot number, the largest 2^-k (k >= 1) such that its other
+    roots lie inside |z| < 1 - 2^-k; 1.0 for a rational, 0.0 for any other
+    number."""
     if num.is_rational():
         return 1.0
-    return float(min([1.0] + [1 - (abs(z) + rad) for z, rad in _conjugates(num)]))
+    f = _conjugate_part(num)
+    if f is None or _outside_and_on(f, Fraction(1)) != (1, 0):
+        return 0.0
+    inside = (k for k in itertools.count(1) if _outside_and_on(f, 1 - Fraction(1, 2**k)) == (1, 0))
+    return 2.0 ** -next(inside)

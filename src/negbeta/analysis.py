@@ -52,6 +52,7 @@ from .permutations import (
 from .words import EventuallyPeriodicWord, canonicalize, periodization
 
 ENUMERATION_BOUND = 10
+SPECTRUM_BOUND = 8  # the largest n whose whole S_n spectrum and extremal set are enumerated
 
 
 # --- patterns of words and orbits -------------------------------------------
@@ -67,10 +68,8 @@ def pat_of_word(w: EventuallyPeriodicWord, n: int) -> Permutation:
     for a, b in zip(order, order[1:]):
         if cmp(a, b) == 0:
             raise PatternUndefinedError(f"tails {a} and {b} of {w} coincide")
-    image = [0] * n
-    for rank, start in enumerate(order, start=1):
-        image[start - 1] = rank
-    return Permutation(tuple(image))
+    # order lists the tails by rank, so it is the inverse of the pattern
+    return Permutation(Permutation(tuple(order)).inverse())
 
 
 def pat_of_orbit(beta, x, n: int) -> Permutation:
@@ -83,10 +82,7 @@ def pat_of_orbit(beta, x, n: int) -> Permutation:
                 raise PatternUndefinedError(f"orbit revisits a point at steps {i} and {j}")
     order = sorted(range(n), key=functools.cmp_to_key(
         lambda a, b: arith.compare(pts[a], pts[b])))
-    image = [0] * n
-    for rank, idx in enumerate(order, start=1):
-        image[idx] = rank
-    return Permutation(tuple(image))
+    return Permutation(Permutation(tuple(i + 1 for i in order)).inverse())
 
 
 def prop1_check(w: EventuallyPeriodicWord, pi: Permutation) -> bool:
@@ -287,8 +283,8 @@ def spectrum(n: int) -> list[SpectrumGroup]:
     ``equals`` -- polynomial-root identity, never decimals -- is only asked
     within a cluster.
     """
-    if n > 8:
-        raise ResourceLimitError("spectrum enumeration is limited to n <= 8")
+    if n > SPECTRUM_BOUND:
+        raise ResourceLimitError(f"spectrum enumeration is limited to n <= {SPECTRUM_BOUND}")
     buckets: dict[EventuallyPeriodicWord, list[Permutation]] = {}
     for pi in all_permutations(n):
         buckets.setdefault(a_sequence(pi), []).append(pi)
@@ -378,7 +374,7 @@ def extremal_report(n: int) -> ExtremalReport:
         raise InvariantError(f"extremal base of {w_star} is not an algebraic number")
     if not (lam.compare(Fraction(n - 2)) > 0 and lam.compare(Fraction(n - 1)) < 0):
         raise InvariantError("extremal base must lie strictly between n-2 and n-1")
-    exhaustive = n <= ENUMERATION_BOUND and n <= 8
+    exhaustive = n <= SPECTRUM_BOUND
     attaining: list[Permutation] = []
     nm_set: list[Permutation] = []
     if exhaustive:
@@ -529,16 +525,11 @@ def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
                     return w
             return None
 
-        all_digits = prefix
-        tied_d1: tuple[int, ...] = ()
-        tied_low: tuple[int, ...] = ()
-        prefix_ok = True
-        if admissibility is not None:
-            for pos, d in enumerate(all_digits, start=1):
-                tied_d1, tied_low, prefix_ok = _advance_ties(
-                    admissibility, tied_d1, tied_low, pos, d)
-                if not prefix_ok:
-                    break
+        tied_d1, tied_low, prefix_ok = (), (), True
+        for pos, d in enumerate(prefix if admissibility is not None else (), start=1):
+            tied_d1, tied_low, prefix_ok = _advance_ties(admissibility, tied_d1, tied_low, pos, d)
+            if not prefix_ok:
+                break
         if not prefix_ok:
             continue
         w = dfs([], lower is not None, upper is not None, tied_d1, tied_low)

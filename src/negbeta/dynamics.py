@@ -59,6 +59,8 @@ class PrecisionConfig:
 
 DEFAULT_PRECISION = PrecisionConfig()
 _TOL_64 = Fraction(1, 2**64)
+PERIOD_BUDGET = 600  # digits of the expansion of 1 a membership oracle searches for a period
+COMPARE_CAP = 20000  # digits a membership oracle's tail comparison may read
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,13 @@ class _AlgebraicArith:
         # the image's bounds there, which key reuses
         self._image = None
 
-    def serves(self, beta: BetaValue) -> bool:
-        # the enclosures depend on the interval state of num, so identity;
-        # an exact number's interval never changes, so its value suffices
-        num = beta.algebraic
-        return num is self.num or (num.exact is not None and num.exact == self.num.exact)
+    def serves(self, beta) -> bool:
+        """Is beta, a BetaValue, an AlgebraicNumber or a rational, this base?
+        The enclosures depend on the interval state of num, so identity; an
+        exact number's interval never changes, so its value suffices."""
+        num = beta.algebraic if isinstance(beta, BetaValue) else beta
+        exact = num.exact if isinstance(num, AlgebraicNumber) else num
+        return num is self.num or (exact is not None and exact == self.num.exact)
 
     def reads(self, other) -> bool:
         """Do the points of the arithmetic other hold the same numbers here?"""
@@ -306,7 +310,7 @@ def _start(beta: BetaValue, x, precision: PrecisionConfig):
     return arith, arith.from_rational(x)
 
 
-def _walk(beta: BetaValue, arith, x):
+def _walk(arith, x):
     """The exact orbit after the point x: yields (digit, T(x)), (digit, T^2(x)), ...
 
     Every digit must lie in 0..floor(beta).  The floor is read after the
@@ -316,7 +320,7 @@ def _walk(beta: BetaValue, arith, x):
     while True:
         d, x = arith.step(x)
         if top is None:
-            top = beta.floor()
+            top = arith.num.floor()
         if not 0 <= d <= top:
             raise InvariantError(f"digit {d} outside 0..floor(beta)")
         yield d, x
@@ -348,13 +352,13 @@ def step(beta, state: ExpansionState) -> ExpansionState:
     The state must come from the same base: a base of another value or
     defining polynomial raises NegBetaError.
     """
-    beta = BetaValue.of(beta)
     arith = state.arith
     if arith is None or not arith.serves(beta):
+        beta = BetaValue.of(beta)
         arith = _arith_for(beta, state.precision_budget)
         if state.arith is not None and not arith.reads(state.arith):
             raise NegBetaError(f"the orbit state was built for another base than {beta}")
-    d, nxt = next(_walk(beta, arith, state.point))
+    d, nxt = next(_walk(arith, state.point))
     lo, hi = arith.enclosure(nxt, Fraction(1, 2**state.precision_budget.start_bits))
     return replace(state, current=(lo, hi), digits_so_far=state.digits_so_far + (d,),
                    point=nxt, arith=arith)
@@ -370,13 +374,12 @@ class DigitStream:
 
     def __init__(self, beta, x=1, precision: PrecisionConfig = DEFAULT_PRECISION,
                  max_digits: int = 20000):
-        self.beta = BetaValue.of(beta)
-        self.arith, start = _start(self.beta, x, precision)
+        self.arith, start = _start(BetaValue.of(beta), x, precision)
         self.max_digits = max_digits
         self.digits: list[int] = []
         self.word: EventuallyPeriodicWord | None = None
         self._points = [start]
-        self._steps = _walk(self.beta, self.arith, start)
+        self._steps = _walk(self.arith, start)
         self._buckets: dict[object, list[int]] = {self.arith.key(start): [0]}
 
     def _find_repeat(self, index: int, key) -> int | None:
@@ -458,7 +461,7 @@ def _orbit(beta, x, count: int, precision: PrecisionConfig):
     and the count digits read between them."""
     beta = BetaValue.of(beta)
     arith, start = _start(beta, x, precision)
-    steps = list(itertools.islice(_walk(beta, arith, start), max(count, 0)))
+    steps = list(itertools.islice(_walk(arith, start), max(count, 0)))
     return arith, (start, *(pt for _, pt in steps)), tuple(d for d, _ in steps)
 
 
@@ -511,11 +514,10 @@ class MembershipOracle:
     candidate lower-bound forms agree on any prefix shorter than the period).
     """
 
-    def __init__(self, beta, precision: PrecisionConfig = DEFAULT_PRECISION,
-                 period_budget: int = 600, compare_cap: int = 20000):
+    def __init__(self, beta, precision: PrecisionConfig = DEFAULT_PRECISION):
         beta = BetaValue.of(beta)
-        self.stream = DigitStream(beta, 1, precision, max_digits=compare_cap)
-        self.compare_cap = compare_cap
+        self.stream = DigitStream(beta, 1, precision, max_digits=COMPARE_CAP)
+        self.compare_cap = COMPARE_CAP
         if _roots_not_integral(beta.algebraic._sf):
             # The base is not an algebraic integer (a non-integer rational,
             # or a threshold shifted by a non-integer margin, as in verify).
@@ -523,11 +525,11 @@ class MembershipOracle:
             # relation, T^k(1) = (-beta)^k + lower terms, so the expansion is
             # never periodic: the plain lower-bound form is correct at every
             # depth and period detection would only burn growing denominators.
-            self.period_budget = compare_cap
+            self.period_budget = COMPARE_CAP
             self.word = None
         else:
-            self.period_budget = period_budget
-            self.word = self.stream.detect_period(period_budget)
+            self.period_budget = PERIOD_BUDGET
+            self.word = self.stream.detect_period(PERIOD_BUDGET)
         self.lower = lower_bound_word(self.word) if self.word is not None else None
 
     def d1_digit(self, i: int) -> int:
@@ -580,7 +582,7 @@ def validate_expansion(w: EventuallyPeriodicWord,
     arith = _arith_for(beta, precision)
     q, p = w.preperiod_length, w.period_length
     pts = [arith.one()]
-    for k, (d, nxt) in enumerate(itertools.islice(_walk(beta, arith, pts[0]), q + p), start=1):
+    for k, (d, nxt) in enumerate(itertools.islice(_walk(arith, pts[0]), q + p), start=1):
         if d != w.digit(k):
             return False
         pts.append(nxt)

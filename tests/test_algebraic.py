@@ -1,7 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sturm_oracle
 from negbeta import algebraic
@@ -23,11 +27,18 @@ from negbeta.algebraic import (
     shift_root,
     _has_root,
     _mul,
+    _outside_and_on,
     _roots_not_integral,
     _sign_at,
     _squarefree_part,
 )
-from negbeta.errors import InvariantError, MalformedBaseError, NegBetaError, SupNotFixedError
+from negbeta.errors import (
+    InvariantError,
+    MalformedBaseError,
+    NegBetaError,
+    SupNotFixedError,
+    UndecidableAtPrecisionError,
+)
 from negbeta.words import canonicalize, compare_with_u, sup_of_shifts, word
 
 
@@ -205,6 +216,7 @@ _polys = st.builds(
 
 
 @given(_polys)
+@example((4, -2, 2, -9, 4, 6, -5, 1))  # (x - 2)(x^6 - 3x^5 + 4x^3 - x^2 - 2)
 @settings(max_examples=200, deadline=None)
 def test_largest_root_matches_the_full_isolation(coeffs):
     poly = IntPolynomial(coeffs)
@@ -212,8 +224,12 @@ def test_largest_root_matches_the_full_isolation(coeffs):
     if want is None:
         assert got is None
         return
-    # the Descartes walk may stop deeper on the same grid: a sub-cell
-    assert want.interval[0] <= got.interval[0] <= got.interval[1] <= want.interval[1]
+    # Both cells lie on the same grid, but either may be the deeper one: the
+    # Sturm oracle keeps halving while its cell also holds a rational root
+    # (the 2 of the example), the Descartes walk while its cell's count is
+    # above one.  So the cells nest one way or the other.
+    (a, b), (c, d) = got.interval, want.interval
+    assert c <= a <= b <= d or a <= c <= d <= b
     _same_root(got, want)
 
 
@@ -554,16 +570,6 @@ def test_a_refined_root_classifies_like_a_fresh_one(make, bits):
     assert conjugate_modulus_margin(refined) == conjugate_modulus_margin(make())
 
 
-def test_classify_unmatched_root_is_a_typed_error(monkeypatch):
-    golden = largest_root_gt1(poly_from_descending(1, -1, -1))
-    # enclosures that list only the conjugate, never the root itself
-    monkeypatch.setattr(algebraic, "_certified_roots", lambda sf, dps=60: [(complex(-0.618034), 1e-6)])
-    with pytest.raises(InvariantError):
-        classify_perron_pisot(golden)
-    with pytest.raises(InvariantError):
-        conjugate_modulus_margin(golden)
-
-
 def test_algebraic_invariants_raise_typed_errors(monkeypatch):
     with pytest.raises(InvariantError):  # x^2 + 1 is not a multiple of x + 1
         algebraic._exact_div((1, 0, 1), (1, 1))
@@ -595,6 +601,110 @@ def test_classify_non_monic_is_neither():
     r = largest_root_gt1(poly_from_descending(2, -2, -1))
     assert r is not None and not r.is_rational()
     assert classify_perron_pisot(r) == NEITHER
+
+
+@pytest.mark.parametrize("descending, want", [
+    # a cyclotomic factor x^2 + x + 1 beside the minimal polynomial of a Pisot number
+    ((1, -3, 1, -2, 2, -2), PISOT),
+    ((1, -3, 1), PISOT),
+    ((1, -1, -1, -1, 1), PERRON_NOT_PISOT),  # Salem: two conjugates on the circle
+    ((1, 0, 0, -2), NEITHER),                # Q(x^3): cube roots of 2 times e^(2 pi i / 3)
+    ((1, 0, -2, 0, -1), NEITHER),            # Q(x^2): -beta is a conjugate
+])
+def test_classify_named_cases(descending, want):
+    assert classify_perron_pisot(largest_root_gt1(poly_from_descending(*descending))) == want
+
+
+def test_classify_an_undecided_perron_test_is_a_typed_error():
+    # (x^2 - 2)(x^2 + x + 2): the cofactor is no cyclotomic polynomial and its
+    # roots have the modulus sqrt 2 of the base, so no refinement decides
+    root = largest_root_gt1(IntPolynomial(_mul((-2, 0, 1), (2, 1, 1))))
+    with pytest.raises(UndecidableAtPrecisionError):
+        classify_perron_pisot(root)
+    assert conjugate_modulus_margin(root) == 0.0
+
+
+def test_the_margin_is_a_power_of_two_below_the_conjugates():
+    golden = largest_root_gt1(poly_from_descending(1, -1, -1))  # conjugate -0.618...
+    assert conjugate_modulus_margin(golden) == 0.25
+    assert conjugate_modulus_margin(largest_root_gt1(poly_from_descending(1, -1, 0, -2))) == 0.0
+    assert conjugate_modulus_margin(AlgebraicNumber.from_rational(Fraction(2))) == 1.0
+
+
+def _cyclotomic(k):
+    """Phi_k, by dividing x^k - 1 by Phi_j for every proper divisor j of k."""
+    out = (-1, *[0] * (k - 1), 1)
+    for j in range(1, k):
+        if k % j == 0:
+            out = algebraic._exact_div(out, _cyclotomic(j))
+    return out
+
+
+@pytest.mark.parametrize("factors, radius, want", [
+    ([(-1, 1)], 1, (0, 1)),
+    ([_cyclotomic(k) for k in (1, 2, 3, 4, 5, 12)], 1, (0, 14)),
+    ([_cyclotomic(7), (-3, 1), (1, 2)], 1, (1, 6)),
+    ([(1, -1, -1, -1, 1)], 1, (1, 2)),            # Salem
+    ([(-2, 0, 1), (2, 1, 1)], Fraction(1414, 1000), (4, 0)),
+    ([(-4, 0, 1)], 2, (0, 2)),                    # +-2 on |z| = 2
+    ([(4, 0, 1), (-1, 3)], Fraction(1, 3), (2, 1)),  # +-2i and 1/3
+])
+def test_outside_and_on_counts_exactly_on_the_circle(factors, radius, want):
+    f = (1,)
+    for factor in factors:
+        f = _mul(f, factor)
+    assert _squarefree_part(f) in (f, tuple(-c for c in f))
+    assert _outside_and_on(f, Fraction(radius)) == want
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=9), st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       st.integers(1, 12), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_outside_and_on_matches_numpy_away_from_the_circle(low, lead, num, den):
+    numpy = pytest.importorskip("numpy")
+    f = _squarefree_part((*low, lead))
+    assume(len(f) > 1)
+    r = Fraction(num, den)
+    moduli = abs(numpy.roots(list(reversed(f)))) / float(r)
+    assume(all(abs(m - 1) > 1e-6 for m in moduli))
+    assert _outside_and_on(f, r) == (sum(int(m > 1) for m in moduli), 0)
+
+
+def test_classify_matches_a_sympy_truth_on_the_spectrum_of_s6():
+    sympy = pytest.importorskip("sympy")
+    from negbeta.analysis import spectrum
+
+    x = sympy.Symbol("x")
+
+    def truth(num):
+        """From the minimal polynomial's roots to 50 digits; a modulus within
+        1e-9 of 1 or of beta counts as equal to it, so Salem conjugates on
+        the circle are not read as inside."""
+        lo, hi = num.refine(Fraction(1, 2**80))
+        factors = [f for f, _ in sympy.Poly(list(reversed(num._sf)), x).factor_list()[1]]
+        [minimal] = [f for f in factors if f.count_roots(sympy.Rational(lo), sympy.Rational(hi))]
+        if abs(minimal.LC()) != 1:
+            return NEITHER
+        roots = [complex(z) for z in minimal.nroots(n=50)]
+        roots.remove(min(roots, key=lambda z: abs(z - float(lo))))
+        if all(abs(z) < 1 - 1e-9 for z in roots):
+            return PISOT
+        return PERRON_NOT_PISOT if all(abs(z) < float(lo) - 1e-9 for z in roots) else NEITHER
+
+    bases = [g.value for g in spectrum(6)
+             if isinstance(g.value, AlgebraicNumber) and not g.value.is_rational()]
+    assert len(bases) == 177
+    assert [classify_perron_pisot(b) for b in bases] == [truth(b) for b in bases]
+
+
+def test_importing_negbeta_loads_no_mpmath():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, negbeta, negbeta.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # --- integer bisection against the Fraction oracles ---------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import sturm_oracle
 from negbeta import dynamics
 from negbeta.algebraic import (
+    AlgebraicNumber,
     IntPolynomial,
     _mul,
     _over_common_denominator,
@@ -577,15 +578,19 @@ def test_step_at_a_rational_given_as_a_number_builds_one_arithmetic(monkeypatch)
     refs = [initial_state(beta, 1)]
     for _ in range(300):
         refs.append(step(beta, refs[-1]))
-    built = []
+    built, numbers = [], []
     real = dynamics._arith_for
     monkeypatch.setattr(dynamics, "_arith_for", lambda *a: built.append(a) or real(*a))
     state = initial_state(Fraction(3, 2), 1)
+    real_number = AlgebraicNumber.__post_init__
+    monkeypatch.setattr(AlgebraicNumber, "__post_init__",
+                        lambda num: numbers.append(num) or real_number(num))
     for ref in refs[1:]:
         state = step(Fraction(3, 2), state)
         assert state.current == ref.current
     assert state.digits_so_far == refs[-1].digits_so_far
     assert len(built) == 1
+    assert numbers == []  # the steps ask the state's arithmetic, not BetaValue.of
 
 
 def test_step_rejects_a_state_of_another_base():
@@ -625,6 +630,8 @@ from negbeta.errors import InvariantError
 from negbeta.words import word
 
 class BadDigit:
+    num = dynamics.BetaValue.of(2).algebraic
+
     def serves(self, beta):
         return True
 
