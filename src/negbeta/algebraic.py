@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd
 
 from . import words
 from .errors import (InvariantError, MalformedBaseError, NegBetaError, SupNotFixedError,
@@ -657,8 +657,13 @@ def _rational_roots(a: Coeffs) -> list[Fraction]:
     a0, an = abs(a[0]), abs(a[-1])
 
     def divisors(n: int) -> list[int]:
-        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-        return sorted({*small, *(n // d for d in small)})
+        out = []
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out.extend((d, n // d))
+            d += 1
+        return sorted(set(out))
 
     # p/q in lowest terms covers every candidate once; the sign test is exact
     for p in divisors(a0):
@@ -809,8 +814,6 @@ def shift_root(num: AlgebraicNumber, c) -> AlgebraicNumber:
     return AlgebraicNumber(IntPolynomial(shifted).sign_normalized(), (lo + c, hi + c))
 
 
-# --- Pisot and Perron numbers ------------------------------------------------
-
 PISOT = "pisot"
 PERRON_NOT_PISOT = "perron_not_pisot"
 NEITHER = "neither"
@@ -824,10 +827,10 @@ def _outside_and_on(f: Coeffs, r: Fraction) -> tuple[int, int]:
     circle to the imaginary axis and z = r to w = oo, where g(w) = (w - 1)^n
     f(z) loses a degree.  With g(iy) = U(y) + i V(y), the axis roots are iy
     for the real roots y of D = gcd(U, V); D's other roots give pairs w, -w
-    of roots.  Along the axis g / D, of degree m, turns by pi (E - I): I is
-    the Cauchy index of V / U, read off the signed remainder sequence of U
-    and V (ending in D) at -oo and +oo, and E is the sign of lc(U) lc(V) if
-    deg V > deg U, else 0.  So (m - E + I) / 2 of its roots lie right.
+    of roots.  Along the axis g / D, of degree m, turns by pi (turn - index):
+    index is the Cauchy index of V / U, read off the signed remainder sequence
+    of U and V (ending in D) at -oo and +oo, and turn is the sign of lc(U)
+    lc(V) if deg V > deg U, else 0.  So (m - turn + index) / 2 roots lie right.
     """
     h = _on_unit(f, 0, r.numerator, r.denominator)  # its roots are f's over r
     g = _strip(_taylor_shift([c << i for i, c in enumerate(_taylor_shift(h, 1))][::-1], -1))
@@ -839,13 +842,11 @@ def _outside_and_on(f: Coeffs, r: Fraction) -> tuple[int, int]:
         seq.append(tuple(-c for c in rem))
     D = IntPolynomial(seq[-1])
     axis = len(isolate_real_roots(D, -root_upper_bound(D), root_upper_bound(D)))
-    outside, m = (D.degree - axis) // 2, len(g) - len(seq[-1])
-    if m:
-        turn = (U[-1] * V[-1] > 0) - (U[-1] * V[-1] < 0) if len(V) > len(U) else 0
-        at_minus_oo = _variations([p[-1] * (-1) ** (len(p) - 1) for p in seq])
-        index = at_minus_oo - _variations([p[-1] for p in seq])
-        outside += (m - turn + index) // 2
-    return outside, axis + len(h) - len(g)
+    m = len(g) - len(seq[-1])  # 0 when U or V is 0, and then so are turn and index
+    turn = (U[-1] * V[-1] > 0) - (U[-1] * V[-1] < 0) if len(V) > len(U) > 0 else 0
+    at_minus_oo = _variations([p[-1] * (-1) ** (len(p) - 1) for p in seq])
+    index = at_minus_oo - _variations([p[-1] for p in seq])
+    return (D.degree - axis) // 2 + (m - turn + index) // 2, axis + len(h) - len(g)
 
 
 def _conjugate_part(num: AlgebraicNumber) -> Coeffs | None:

@@ -136,9 +136,8 @@ class _AlgebraicArith:
         self._image = None
 
     def serves(self, beta) -> bool:
-        """Is beta, a BetaValue, an AlgebraicNumber or a rational, this base?
-        The enclosures depend on the interval state of num, so identity; an
-        exact number's interval never changes, so its value suffices."""
+        # beta is a BetaValue, an AlgebraicNumber or a rational.  The enclosures
+        # depend on num's interval state, so identity; an exact one's value suffices
         num = beta.algebraic if isinstance(beta, BetaValue) else beta
         exact = num.exact if isinstance(num, AlgebraicNumber) else num
         return num is self.num or (exact is not None and exact == self.num.exact)

@@ -69,8 +69,8 @@ class InvariantError(NegBetaError):
 
 
 class UndecidableAtPrecisionError(NegBetaError):
-    """Raised when interval refinement hits its budget with a floor still
-    straddling an integer; carries the straddled integer for diagnostics."""
+    """Raised when interval refinement hits its budget undecided, as a floor
+    still straddling an integer (carried for diagnostics) or a Perron test."""
 
     reason = "undecidable-at-precision"
     exit_code = EXIT_UNDECIDABLE
