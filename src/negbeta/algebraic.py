@@ -124,8 +124,7 @@ def _has_root(g: Coeffs, lo: Fraction, hi: Fraction) -> bool:
 
 
 def _prem(f: Coeffs, g: Coeffs) -> Coeffs:
-    """Primitive part of the pseudo-remainder of f by g (g nonzero), a
-    positive multiple of the remainder: g is taken with a positive lead."""
+    """Primitive pseudo-remainder of f by g != 0, a positive multiple of the remainder."""
     if g[-1] < 0:
         g = tuple(-c for c in g)
     r = list(f)
@@ -820,17 +819,15 @@ NEITHER = "neither"
 
 
 def _outside_and_on(f: Coeffs, r: Fraction) -> tuple[int, int]:
-    """How many roots of the squarefree integer polynomial f lie outside the
-    circle |z| = r > 0, and how many on it (Routh-Hurwitz; Marden 1966).
+    """How many roots of the squarefree integer f lie outside |z| = r > 0, and on it.
 
-    z = r (w + 1) / (w - 1) maps the outside to the right half-plane, the
-    circle to the imaginary axis and z = r to w = oo, where g(w) = (w - 1)^n
-    f(z) loses a degree.  With g(iy) = U(y) + i V(y), the axis roots are iy
-    for the real roots y of D = gcd(U, V); D's other roots give pairs w, -w
-    of roots.  Along the axis g / D, of degree m, turns by pi (turn - index):
-    index is the Cauchy index of V / U, read off the signed remainder sequence
-    of U and V (ending in D) at -oo and +oo, and turn is the sign of lc(U)
-    lc(V) if deg V > deg U, else 0.  So (m - turn + index) / 2 roots lie right.
+    z = r (w + 1) / (w - 1) maps the outside to the right half-plane and the
+    circle to the imaginary axis; g(w) = (w - 1)^n f(z) loses a degree for a
+    root z = r.  With g(iy) = U(y) + i V(y), the real roots of D = gcd(U, V)
+    give the axis roots, its other roots pairs w, -w.  Of the m roots of g / D,
+    (m - turn + index) / 2 lie right: index is the Cauchy index of V / U, from
+    the signed remainder sequence of U and V, and turn is the sign of lc(U)
+    lc(V) when deg V > deg U, else 0.  (Routh-Hurwitz; Marden 1966.)
     """
     h = _on_unit(f, 0, r.numerator, r.denominator)  # its roots are f's over r
     g = _strip(_taylor_shift([c << i for i, c in enumerate(_taylor_shift(h, 1))][::-1], -1))
@@ -857,9 +854,8 @@ def _conjugate_part(num: AlgebraicNumber) -> Coeffs | None:
     if abs(f[-1]) != 1 or num.compare(1) <= 0:
         return None
     f = f[next(i for i, c in enumerate(f) if c):]
-    d = len(f) - 1
-    for k in range(1, 2 * d * d + 1):
-        if sum(int_gcd(j, k) == 1 for j in range(k)) <= d:  # phi(k)
+    for k in range(1, 2 * len(f) ** 2):
+        if sum(int_gcd(j, k) == 1 for j in range(k)) < len(f):  # phi(k) <= deg f
             g = _poly_gcd(f, (-1, *[0] * (k - 1), 1))
             if len(g) > 1:
                 f = _exact_div(f, g)

@@ -68,8 +68,10 @@ def pat_of_word(w: EventuallyPeriodicWord, n: int) -> Permutation:
     for a, b in zip(order, order[1:]):
         if cmp(a, b) == 0:
             raise PatternUndefinedError(f"tails {a} and {b} of {w} coincide")
-    # order lists the tails by rank, so it is the inverse of the pattern
-    return Permutation(Permutation(tuple(order)).inverse())
+    image = [0] * n
+    for rank, start in enumerate(order, start=1):
+        image[start - 1] = rank
+    return Permutation(tuple(image))
 
 
 def pat_of_orbit(beta, x, n: int) -> Permutation:
@@ -82,7 +84,10 @@ def pat_of_orbit(beta, x, n: int) -> Permutation:
                 raise PatternUndefinedError(f"orbit revisits a point at steps {i} and {j}")
     order = sorted(range(n), key=functools.cmp_to_key(
         lambda a, b: arith.compare(pts[a], pts[b])))
-    return Permutation(Permutation(tuple(i + 1 for i in order)).inverse())
+    image = [0] * n
+    for rank, idx in enumerate(order, start=1):
+        image[idx] = rank
+    return Permutation(tuple(image))
 
 
 def prop1_check(w: EventuallyPeriodicWord, pi: Permutation) -> bool:
