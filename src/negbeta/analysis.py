@@ -63,6 +63,8 @@ def pat_of_word(w: EventuallyPeriodicWord, n: int) -> Permutation:
     pat(i) = j when the i-th tail is j-th smallest; coincident tails leave
     the pattern undefined.
     """
+    if n < 1:
+        raise NegBetaError(f"pattern length must be at least 1, got {n}")
     cmp = words.tail_comparator(w, n)
     order = sorted(range(1, n + 1), key=functools.cmp_to_key(cmp))
     for a, b in zip(order, order[1:]):
@@ -77,6 +79,8 @@ def pat_of_word(w: EventuallyPeriodicWord, n: int) -> Permutation:
 def pat_of_orbit(beta, x, n: int) -> Permutation:
     """Ordinal pattern of x, T(x), ..., T^(n-1)(x) under the negative-base
     transformation, with every point comparison certified."""
+    if n < 1:
+        raise NegBetaError(f"pattern length must be at least 1, got {n}")
     arith, pts = orbit_points(beta, x, n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -405,21 +409,6 @@ def extremal_report(n: int) -> ExtremalReport:
 
 # --- bounded realization search -----------------------------------------------
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Word-size bounds for the brute-force searches.  Defaults cover the
-    constructive witnesses (preperiod and period below n) with a factor-two
-    safety margin."""
-
-    max_prefix: int
-    max_period: int
-    max_alphabet: int
-
-    @classmethod
-    def default(cls, n: int) -> "SearchBounds":
-        return cls(max_prefix=2 * n, max_period=2 * n, max_alphabet=n)
-
-
 def _condition_i_prefixes(sk: Skeleton, alphabet_size: int) -> list[tuple[int, ...]]:
     """All first-(n-1)-digit choices satisfying the digit-gap condition with
     digits below alphabet_size: offsets above the skeleton must be
@@ -442,128 +431,107 @@ def _condition_i_prefixes(sk: Skeleton, alphabet_size: int) -> list[tuple[int, .
     return results
 
 
-def _search_realizing(pi: Permutation, alphabet_size: int, bounds: SearchBounds,
+def _advance(ties: tuple, pos: int, d: int) -> tuple | None:
+    """The ties still open after digit d at position pos, or None as soon as
+    one resolves to its wrong side.
+
+    A tie (start, reference, wrong) says that the suffix from position start
+    still equals reference(1), reference(2), ...; its first differing digit
+    puts the suffix above or below the reference, and wrong names the side
+    that rules the string out.
+    """
+    kept = []
+    for tie in ties:
+        start, reference, wrong = tie
+        i = pos - start + 1
+        ref = reference(i)
+        if d == ref:
+            kept.append(tie)
+        elif words.alt_order(d, ref, i) == wrong:
+            return None
+    return tuple(kept)
+
+
+def _strings(start: int, alphabet_size: int, length: int, ties: tuple, opened: tuple,
+             digits: tuple[int, ...] = ()):
+    """Digit strings for the positions from start on, up to length digits
+    long, that leave every tie open or resolved to its right side: depth
+    first, digits ascending, each string before its extensions.
+
+    ties are open before the first digit, and every position opens one more
+    tie (position, reference, wrong) per pair (reference, wrong) in opened.
+    """
+    pos = start + len(digits)
+    ties += tuple((pos, reference, wrong) for reference, wrong in opened)
+    for d in range(alphabet_size):
+        kept = _advance(ties, pos, d)
+        if kept is None:
+            continue
+        extended = digits + (d,)
+        yield extended
+        if len(extended) < length:
+            yield from _strings(start, alphabet_size, length, kept, opened, extended)
+
+
+def _realizes(w: EventuallyPeriodicWord, pi: Permutation) -> bool:
+    try:
+        return pat_of_word(w, pi.n) == pi
+    except PatternUndefinedError:
+        return False
+
+
+def _search_realizing(pi: Permutation, alphabet_size: int, max_prefix: int, max_period: int,
                       admissibility: MembershipOracle | None = None,
                       ) -> EventuallyPeriodicWord | None:
-    """The first eventually periodic word within bounds realizing pi, or
-    None, optionally restricted to words admissible for a given base.
+    """The first eventually periodic word with preperiod at most max_prefix
+    and period at most max_period realizing pi, or None, optionally
+    restricted to words admissible for a given base.
 
     Candidates are prefix choices satisfying the digit-gap condition followed
-    by a digit-string DFS; a string is abandoned as soon as one of the tail
-    comparisons resolves the wrong way or (when admissibility is tracked)
-    some suffix provably leaves the shift.  Every surviving split into
-    preperiod and period is checked exactly before being reported.
+    by the strings of ``_strings``.  Two ties keep the tail from position n
+    between the periodized landmark words; when admissibility is tracked,
+    every suffix is also tied to the expansion of 1 above it and to the lower
+    bound below it, so a string is abandoned as soon as some suffix provably
+    leaves the shift.  Every split of a string into preperiod and period is
+    checked exactly before being reported.
     """
     n = pi.n
     sk = skeleton(pi)
     lm = sk.landmarks
-    seen: set[tuple] = set()
-    tail_pre_max = max(0, bounds.max_prefix - (n - 1))
-    depth_max = tail_pre_max + bounds.max_period
+    seen: set[EventuallyPeriodicWord] = set()
+    tail_pre_max = max(0, max_prefix - (n - 1))
+    opened = () if admissibility is None else (
+        (admissibility.d1_digit, words.GREATER), (admissibility.lower_digit, words.LESS))
 
     for prefix in _condition_i_prefixes(sk, alphabet_size):
         upper = periodization(prefix[lm.r - 1:]) if pi(n) != n else None
         lower = periodization(prefix[lm.ell - 1:]) if pi(n) != 1 else None
         if upper is not None and lower is not None and not lower < upper:
             continue
-
-        def check(x: tuple[int, ...], y: tuple[int, ...]) -> EventuallyPeriodicWord | None:
-            w = canonicalize(prefix + x, y)
-            key = (w.pre, w.per)
-            if key in seen:
-                return None
-            seen.add(key)
-            if len(w.pre) > bounds.max_prefix or len(w.per) > bounds.max_period:
-                return None
-            try:
-                if pat_of_word(w, n) != pi:
-                    return None
-            except PatternUndefinedError:
-                return None
-            if admissibility is not None and not admissibility.contains(w):
-                return None
-            return w
-
-        # DFS over the tail digit string; tieL/tieU: still equal to the
-        # periodized landmark word; suffix ties vs the admissibility bounds.
-        def dfs(tail: list[int], tie_lo: bool, tie_hi: bool, tied_d1: tuple[int, ...],
-                tied_low: tuple[int, ...]) -> EventuallyPeriodicWord | None:
-            depth = len(tail)
-            for i in range(max(1, depth - bounds.max_period), min(tail_pre_max, depth - 1) + 1):
-                w = check(tuple(tail[:i]), tuple(tail[i:]))
-                if w is not None:
-                    return w
-            if 1 <= depth <= bounds.max_period:
-                w = check((), tuple(tail))
-                if w is not None:
-                    return w
-            if depth == depth_max:
-                return None
-            pos = n + depth  # 1-based position of the next digit in the full word
-            for d in range(alphabet_size):
-                t_lo, t_hi = tie_lo, tie_hi
-                k = depth + 1
-                if lower is not None and t_lo:
-                    ref = lower.digit(k)
-                    if d != ref:
-                        # tail must stay above the lower periodization
-                        if words.alt_order(d, ref, k) == words.LESS:
-                            continue
-                        t_lo = False
-                if upper is not None and t_hi:
-                    ref = upper.digit(k)
-                    if d != ref:
-                        if words.alt_order(d, ref, k) == words.GREATER:
-                            continue
-                        t_hi = False
-                if admissibility is not None:
-                    new_d1, new_low, ok = _advance_ties(
-                        admissibility, tied_d1, tied_low, pos, d)
-                    if not ok:
-                        continue
-                else:
-                    new_d1, new_low = tied_d1, tied_low
-                tail.append(d)
-                w = dfs(tail, t_lo, t_hi, new_d1, new_low)
-                tail.pop()
-                if w is not None:
-                    return w
-            return None
-
-        tied_d1, tied_low, prefix_ok = (), (), True
-        for pos, d in enumerate(prefix if admissibility is not None else (), start=1):
-            tied_d1, tied_low, prefix_ok = _advance_ties(admissibility, tied_d1, tied_low, pos, d)
-            if not prefix_ok:
+        ties = ()
+        for pos, d in enumerate(prefix, start=1):
+            ties = _advance(ties + tuple((pos, ref, wrong) for ref, wrong in opened), pos, d)
+            if ties is None:
                 break
-        if not prefix_ok:
+        if ties is None:
             continue
-        w = dfs([], lower is not None, upper is not None, tied_d1, tied_low)
-        if w is not None:
-            return w
+        landmarks = tuple((n, bound.digit, wrong)
+                          for bound, wrong in ((lower, words.LESS), (upper, words.GREATER))
+                          if bound is not None)
+        for tail in _strings(n, alphabet_size, tail_pre_max + max_period, landmarks + ties, opened):
+            depth = len(tail)
+            splits = list(range(max(1, depth - max_period), min(tail_pre_max, depth - 1) + 1))
+            if depth <= max_period:
+                splits.append(0)  # the purely periodic tail
+            for i in splits:
+                w = canonicalize(prefix + tail[:i], tail[i:])
+                if w in seen:
+                    continue
+                seen.add(w)
+                if (len(w.pre) <= max_prefix and len(w.per) <= max_period and _realizes(w, pi)
+                        and (admissibility is None or admissibility.contains(w))):
+                    return w
     return None
-
-
-def _advance_ties(adm: MembershipOracle, tied_d1: tuple[int, ...], tied_low: tuple[int, ...],
-                  pos: int, d: int):
-    """Advance per-suffix comparison states by one appended digit.
-
-    A suffix beginning at position s, after the digit at position pos, has
-    been compared through relative index pos - s + 1.  Suffixes that resolve
-    above the expansion of 1, or at-or-below the lower bound, kill the branch.
-    """
-    ties = []
-    for tied, reference, wrong_side in ((tied_d1, adm.d1_digit, words.GREATER),
-                                        (tied_low, adm.lower_digit, words.LESS)):
-        kept = []
-        for s in tied + (pos,):
-            i = pos - s + 1
-            ref = reference(i)
-            if d == ref:
-                kept.append(s)
-            elif words.alt_order(d, ref, i) == wrong_side:
-                return (), (), False
-        ties.append(tuple(kept))
-    return ties[0], ties[1], True
 
 
 def min_alphabet_bruteforce(pi, max_prefix: int | None = None,
@@ -571,21 +539,27 @@ def min_alphabet_bruteforce(pi, max_prefix: int | None = None,
                             max_alphabet: int | None = None,
                             ) -> tuple[int, EventuallyPeriodicWord]:
     """Smallest alphabet size admitting a realizing word within the bounds,
-    with a witness; independent of the threshold machinery."""
+    with a witness; independent of the threshold machinery.
+
+    The bounds default to 2n for preperiod and period and to n for the
+    alphabet: the constructive witnesses have preperiod and period below n,
+    and the factor two is a safety margin.
+    """
     pi = perm(pi)
     n = pi.n
-    defaults = SearchBounds.default(n)
-    bounds = SearchBounds(
-        max_prefix=max_prefix if max_prefix is not None else defaults.max_prefix,
-        max_period=max_period if max_period is not None else defaults.max_period,
-        max_alphabet=max_alphabet if max_alphabet is not None else defaults.max_alphabet,
-    )
-    for size in range(1, bounds.max_alphabet + 1):
-        hit = _search_realizing(pi, size, bounds)
+    max_prefix = 2 * n if max_prefix is None else max_prefix
+    max_period = 2 * n if max_period is None else max_period
+    max_alphabet = n if max_alphabet is None else max_alphabet
+    if max_prefix < 0 or max_period < 1 or max_alphabet < 1:
+        raise NegBetaError(
+            "search bounds need max_prefix >= 0, max_period >= 1 and max_alphabet >= 1; "
+            f"got {max_prefix}, {max_period} and {max_alphabet}")
+    for size in range(1, max_alphabet + 1):
+        hit = _search_realizing(pi, size, max_prefix, max_period)
         if hit is not None:
             return size, hit
     raise SearchInconclusiveError(
-        f"no realizing word over alphabets up to {bounds.max_alphabet} within bounds for {pi}")
+        f"no realizing word over alphabets up to {max_alphabet} within bounds for {pi}")
 
 
 # --- admissible witnesses and the threshold sandwich ---------------------------
@@ -595,8 +569,7 @@ def _beta_plus(b, margin: Fraction) -> BetaValue:
     return BetaValue.of(1 + margin if b == 1 else shift_root(b, margin))
 
 
-def witness_word(pi, beta_margin=Fraction(1, 20),
-                 bounds: SearchBounds | None = None) -> EventuallyPeriodicWord:
+def witness_word(pi, beta_margin=Fraction(1, 20)) -> EventuallyPeriodicWord:
     """A realizing word admissible just above the threshold base.
 
     Tries the constructive candidates first (threshold word with its period
@@ -607,24 +580,19 @@ def witness_word(pi, beta_margin=Fraction(1, 20),
     margin = Fraction(beta_margin)
     if margin <= 0:
         raise NegBetaError("margin must be positive")
-    return _witness_above(analyze(pi), margin, bounds, DEFAULT_PRECISION)
+    return _witness_above(analyze(pi), margin, DEFAULT_PRECISION)
 
 
 def _witness_above(report: AnalysisReport, margin: Fraction,
-                   bounds: SearchBounds | None,
                    precision: PrecisionConfig) -> EventuallyPeriodicWord:
     pi = report.pi
     beta = _beta_plus(report.b_minus, margin)
     oracle = MembershipOracle(beta, precision)
     n = pi.n
     for cand in _seeded_witnesses(report, precision):
-        try:
-            if pat_of_word(cand, n) == pi and oracle.contains(cand):
-                return cand
-        except PatternUndefinedError:
-            continue
-    bounds = bounds or SearchBounds.default(n)
-    hit = _search_realizing(pi, beta.floor() + 1, bounds, admissibility=oracle)
+        if _realizes(cand, pi) and oracle.contains(cand):
+            return cand
+    hit = _search_realizing(pi, beta.floor() + 1, 2 * n, 2 * n, admissibility=oracle)
     if hit is not None:
         return hit
     raise SearchInconclusiveError(f"no admissible witness found for {pi} within bounds")
@@ -688,20 +656,18 @@ class SandwichReport:
         }
 
 
-def realizable_at(pi, beta, bounds: SearchBounds | None = None,
-                  precision: PrecisionConfig = DEFAULT_PRECISION,
+def realizable_at(pi, beta, precision: PrecisionConfig = DEFAULT_PRECISION,
                   ) -> EventuallyPeriodicWord | None:
     """Bounded exhaustive search for an admissible realizing word at a fixed
-    base; returns the witness or None when the bounded class is empty."""
+    base, with preperiod and period up to 2n; returns the witness or None
+    when the bounded class is empty."""
     pi = perm(pi)
     beta = BetaValue.of(beta)
-    bounds = bounds or SearchBounds.default(pi.n)
-    return _search_realizing(pi, beta.floor() + 1, bounds,
+    return _search_realizing(pi, beta.floor() + 1, 2 * pi.n, 2 * pi.n,
                              admissibility=MembershipOracle(beta, precision))
 
 
 def sandwich_check(pi, margin=Fraction(1, 20),
-                   bounds: SearchBounds | None = None,
                    precision: PrecisionConfig = DEFAULT_PRECISION) -> SandwichReport:
     """Realizable just above the threshold, not realizable just below nor at
     the threshold itself (within the searched class)."""
@@ -715,13 +681,13 @@ def sandwich_check(pi, margin=Fraction(1, 20),
     b = report.b_minus
     witness = None
     try:
-        witness = _witness_above(report, margin, bounds, precision)
+        witness = _witness_above(report, margin, precision)
     except SearchInconclusiveError:
         pass
     below = None
     if b.refine(Fraction(1, 2**24))[0] - margin > 1:
-        below = realizable_at(pi, _beta_plus(b, -margin), bounds, precision)
-    at = realizable_at(pi, b, bounds, precision)
+        below = realizable_at(pi, _beta_plus(b, -margin), precision)
+    at = realizable_at(pi, b, precision)
     return SandwichReport(
         pi=pi, b_decimal=report.b_decimal(6), margin=margin,
         witness_above=witness, found_below=below, found_at=at,

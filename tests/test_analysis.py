@@ -39,7 +39,12 @@ from negbeta.analysis import (
     witness_word,
 )
 from negbeta.dynamics import MembershipOracle, expansion_of_one, BetaValue
-from negbeta.errors import InvariantError, NegBetaError, PatternUndefinedError
+from negbeta.errors import (
+    InvariantError,
+    NegBetaError,
+    PatternUndefinedError,
+    SearchInconclusiveError,
+)
 from negbeta.permutations import (
     Permutation,
     a_sequence,
@@ -59,6 +64,14 @@ def test_pat_of_word_examples():
     assert str(pat_of_word(word("00(10011)"), 4)) == "3142"
     with pytest.raises(PatternUndefinedError):
         pat_of_word(word("(2)"), 2)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_pattern_lengths_below_one_are_typed_errors(n):
+    for pattern in (lambda: pat_of_word(word("1(0)"), n), lambda: pat_of_orbit(2, Fraction(2, 5), n)):
+        with pytest.raises(NegBetaError, match=f"pattern length must be at least 1, got {n}") as err:
+            pattern()
+        assert err.value.exit_code == 2
 
 
 def test_pat_of_orbit_examples():
@@ -449,6 +462,39 @@ def test_min_alphabet_matches_formula_examples():
 def test_min_alphabet_matches_formula_on_s3():
     for pi in all_permutations(3):
         assert min_alphabet_bruteforce(pi)[0] == n_minus_formula(pi)
+
+
+@pytest.mark.parametrize("bounds", [{"max_prefix": -3}, {"max_prefix": -1}, {"max_period": 0},
+                                    {"max_alphabet": 0}, {"max_alphabet": -1}])
+def test_min_alphabet_rejects_malformed_bounds_before_searching(bounds, monkeypatch):
+    monkeypatch.setattr(analysis, "_search_realizing", lambda *args: pytest.fail("searched"))
+    with pytest.raises(NegBetaError, match="search bounds need") as err:
+        min_alphabet_bruteforce("4321", **bounds)
+    assert err.value.exit_code == 2
+
+
+def test_min_alphabet_accepts_the_smallest_bounds():
+    assert min_alphabet_bruteforce("21", max_prefix=0)[0] == 2
+    with pytest.raises(SearchInconclusiveError):
+        min_alphabet_bruteforce("21", max_prefix=0, max_period=1, max_alphabet=1)
+
+
+def test_search_results_and_nodes_are_pinned(monkeypatch):
+    # sha256 of the realization search's answers, and the pat_of_word calls
+    # made on the way: the search visits the same digit strings in the same
+    # order, so the first witness it reports stays the same
+    calls = []
+    real = analysis.pat_of_word
+    monkeypatch.setattr(analysis, "pat_of_word", lambda w, n: calls.append(n) or real(w, n))
+    lines = [f"{pi} {size} {w}" for n in range(2, 7) for pi in all_permutations(n)
+             for size, w in [min_alphabet_bruteforce(pi)]]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "346d9eaad1a1479aaeb0bafec3447d00f5734d2e61a08f17788cd4aacabcb228"
+    reports = [sandwich_check(pi).to_json() for n in (4, 5) for pi in all_permutations(n)
+               if analyze(pi).b_minus != 1]
+    assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == \
+        "beefea0e65057d383b4459a6b56a0865dfd067521f940b56710b820a82710819"
+    assert len(calls) == 6582
 
 
 def test_witness_words_match_worked_examples():

@@ -256,6 +256,20 @@ def test_bad_precision_and_margin_are_typed_errors(argv):
     assert json.loads(err)["error"]["reason"] == "error"
 
 
+@pytest.mark.parametrize("argv", [["realize", "4321", "--max-prefix", "-3"],
+                                  ["realize", "4321", "--max-period", "0"],
+                                  ["realize", "4321", "--max-alphabet", "-1"],
+                                  ["realize", "4321", "--max-alphabet", "0"],
+                                  ["pat", "1(0)", "-2"],
+                                  ["pat", "1(0)", "0"]])
+def test_bad_search_bounds_and_pattern_lengths_are_typed_errors(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run([*argv, "--format", "json"]) == 2
+    message = json.loads(err.getvalue())["error"]["message"]
+    assert message.startswith(("search bounds need", "pattern length must be at least 1"))
+
+
 _PERMS = st.integers(1, 6).flatmap(
     lambda n: st.permutations(range(1, n + 1))).map(lambda p: "".join(map(str, p)))
 _JUNK = st.text("0123456789,()-/:xpoly ", max_size=8)
@@ -282,9 +296,10 @@ def _argvs(draw):
                      + draw(st.sampled_from([[], ["--no-period"]])),
         "member": [word, "--beta", draw(_BASES)],
         "pat": [word, str(draw(_SIZES))],
-        "realize": [perm] + draw(st.lists(st.sampled_from(["--max-prefix", "--max-period",
-                                                           "--max-alphabet"]), max_size=2)
-                                 .map(lambda flags: [x for f in flags for x in (f, "3")])),
+        "realize": [perm] + draw(st.lists(st.tuples(
+            st.sampled_from(["--max-prefix", "--max-period", "--max-alphabet"]),
+            st.sampled_from(["-1", "0", "3"])), max_size=2)
+            .map(lambda flags: [x for flag in flags for x in flag])),
         "verify": [perm, "--margin", draw(st.sampled_from(
             ["1/20", "1/100", "1/3", "0", "-1/20", "x", "1/0", "", "nan", "inf"]))],
     }[cmd]
