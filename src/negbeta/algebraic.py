@@ -443,6 +443,11 @@ def char_polynomial(w: EventuallyPeriodicWord) -> IntPolynomial:
 
 # --- algebraic numbers -------------------------------------------------------
 
+# The width every exact comparison refines to: ``_equals_rational`` matches
+# ``equals``, and ``spectrum`` refines each root to it up front, so an interval
+# ends up the same whichever way its number was compared.
+_COMPARE_WIDTH = Fraction(1, 2**24)
+
 @dataclass
 class AlgebraicNumber:
     """A real root of an integer polynomial, given by an isolating interval.
@@ -603,8 +608,8 @@ class AlgebraicNumber:
         g = _poly_gcd(self._sf, other._sf)
         if len(g) <= 1:
             return False
-        lo1, hi1 = self.refine(Fraction(1, 2**24))
-        lo2, hi2 = other.refine(Fraction(1, 2**24))
+        lo1, hi1 = self.refine(_COMPARE_WIDTH)
+        lo2, hi2 = other.refine(_COMPARE_WIDTH)
         lo, hi = max(lo1, lo2), min(hi1, hi2)
         return lo <= hi and _has_root(g, lo, hi)
 
@@ -614,9 +619,7 @@ class AlgebraicNumber:
         lo, hi = self.interval
         if not lo <= r <= hi or _sign_at(self._sf, r) != 0:
             return False
-        # refine as a comparison of two roots does, so the interval ends
-        # up the same whichever way the number was compared
-        lo, hi = self.refine(Fraction(1, 2**24))
+        lo, hi = self.refine(_COMPARE_WIDTH)
         return lo <= r <= hi
 
     def __eq__(self, other):
@@ -776,8 +779,8 @@ def largest_root_gt1(poly: IntPolynomial) -> AlgebraicNumber | None:
     return _Isolation(poly, Fraction(1), root_upper_bound(poly)).largest()
 
 
-def b_of(w: EventuallyPeriodicWord):
-    """The base attached to a shift-sup-fixed word: literal 1 when w lies at
+def b_of(w: EventuallyPeriodicWord) -> AlgebraicNumber:
+    """The base attached to a shift-sup-fixed word: exactly 1 when w lies at
     or below the substitution fixed point u, otherwise the largest root above
     1 of the characteristic polynomial (which then always exists).
 
@@ -788,7 +791,7 @@ def b_of(w: EventuallyPeriodicWord):
     if not words.is_sup_fixed(w):
         raise SupNotFixedError(f"{w} is not the sup of its shifts")
     if words.compare_with_u(w) <= 0:
-        return 1
+        return AlgebraicNumber.from_rational(1)
     poly = char_polynomial(w)
     top = w.max_digit() + 1
     iso = _Isolation(poly, Fraction(1), root_upper_bound(poly))
@@ -806,7 +809,7 @@ def shift_root(num: AlgebraicNumber, c) -> AlgebraicNumber:
     c = Fraction(c)
     if num.is_rational():
         return AlgebraicNumber.from_rational(num.exact + c)
-    lo, hi = num.refine(Fraction(1, 2**24))
+    lo, hi = num.refine(_COMPARE_WIDTH)
     # b^n P(x - a/b), with c = a/b: the map x -> (b x - a) / b of _on_unit
     a, b = c.numerator, c.denominator
     shifted = _primitive(_on_unit(num.polynomial.coefficients, -a, b - a, b))

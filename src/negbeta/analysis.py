@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import words
 from .algebraic import (
+    _COMPARE_WIDTH,
     AlgebraicNumber,
     IntPolynomial,
     _poly_gcd,
@@ -117,13 +118,9 @@ def prop1_check(w: EventuallyPeriodicWord, pi: Permutation) -> bool:
 
 # --- the analysis report ------------------------------------------------------
 
-def _decimal(b, places: int) -> str:
-    """A threshold as text: "1", the exact rational, or rounded to places."""
-    if b == 1:
-        return "1"
-    if b.is_rational():
-        return str(b.exact)
-    return b.decimal(places)
+def _decimal(b: AlgebraicNumber, places: int) -> str:
+    """A threshold as text: the exact rational, or rounded to places."""
+    return str(b.exact) if b.is_rational() else b.decimal(places)
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,7 @@ class AnalysisReport:
     collapsed: bool
     a: EventuallyPeriodicWord
     poly: IntPolynomial | None
-    b_minus: object  # literal 1 or AlgebraicNumber
+    b_minus: AlgebraicNumber
     n_minus: int
     epsilon: int
     b1_exponent: int | None
@@ -157,7 +154,7 @@ class AnalysisReport:
             "poly": list(self.poly.coefficients) if self.poly else None,
             "poly_str": str(self.poly) if self.poly else None,
             "b_minus": self.b_decimal(12),
-            "b_minus_exact": self.b_minus == 1 or self.b_minus.is_rational(),
+            "b_minus_exact": self.b_minus.is_rational(),
             "n_minus": self.n_minus,
             "epsilon": self.epsilon,
             "b1_exponent": self.b1_exponent,
@@ -199,22 +196,14 @@ def analyze(pi) -> AnalysisReport:
         raise NegBetaError("analysis needs n >= 2; length-1 patterns carry no order content")
     sk = skeleton(pi)
     a = sk.a
-    if _is_b1(a):
-        b = 1
-        poly = None
-        exponent = _b1_exponent(a)
-        floor_b = 1
-    else:
-        b = b_of(a)
-        poly = b.polynomial
-        exponent = None
-        floor_b = b.floor()
-    if sk.n_minus != floor_b + 1:
+    b = b_of(a)
+    if sk.n_minus != b.floor() + 1:
         raise InvariantError(f"alphabet formula disagrees with floor for {pi}")
+    one = b == 1
     return AnalysisReport(
         pi=pi, landmarks=sk.landmarks, z=sk.z, variants=sk.variants,
-        collapsed=sk.collapsed, a=a, poly=poly, b_minus=b, n_minus=sk.n_minus,
-        epsilon=sk.epsilon, b1_exponent=exponent,
+        collapsed=sk.collapsed, a=a, poly=None if one else b.polynomial, b_minus=b,
+        n_minus=sk.n_minus, epsilon=sk.epsilon, b1_exponent=_b1_exponent(a) if one else None,
     )
 
 
@@ -265,7 +254,7 @@ def _count_b1_block(args) -> int:
 class SpectrumGroup:
     """All permutations of one length sharing a single threshold base."""
 
-    value: object  # literal 1 or AlgebraicNumber
+    value: AlgebraicNumber
     poly: IntPolynomial
     members: list[Permutation]
 
@@ -292,24 +281,22 @@ def spectrum(n: int) -> list[SpectrumGroup]:
     ``equals`` -- polynomial-root identity, never decimals -- is only asked
     within a cluster.
     """
+    if n < 2:
+        raise NegBetaError(f"spectrum needs n >= 2, got {n}")
     if n > SPECTRUM_BOUND:
         raise ResourceLimitError(f"spectrum enumeration is limited to n <= {SPECTRUM_BOUND}")
     buckets: dict[EventuallyPeriodicWord, list[Permutation]] = {}
     for pi in all_permutations(n):
         buckets.setdefault(a_sequence(pi), []).append(pi)
-    ones: list[Permutation] = []
     roots = []
     for a, members in buckets.items():
-        if _is_b1(a):
-            ones.extend(members)
-            continue
         b = b_of(a)
-        b.refine(Fraction(1, 2**24))
+        b.refine(_COMPARE_WIDTH)
         roots.append((b, b.polynomial, members))
     roots.sort(key=lambda root: root[0].interval[0])
     groups: list[SpectrumGroup] = []
     cluster: list[SpectrumGroup] = []
-    cluster_hi = Fraction(1)  # every base here exceeds 1
+    cluster_hi = Fraction(1)  # no base here is below 1
     for b, poly, members in roots:
         lo, hi = b.interval
         if lo > cluster_hi:
@@ -325,9 +312,6 @@ def spectrum(n: int) -> list[SpectrumGroup]:
             cluster.append(SpectrumGroup(value=b, poly=poly.squarefree_part(), members=members))
             groups.append(cluster[-1])
     groups.sort(key=functools.cmp_to_key(lambda g, h: g.value.compare(h.value)))
-    if ones:
-        one_group = SpectrumGroup(value=1, poly=IntPolynomial((-1, 1)), members=ones)
-        groups.insert(0, one_group)
     for g in groups:
         g.members.sort(key=lambda p: p.image)
     return groups
@@ -379,24 +363,18 @@ def extremal_report(n: int) -> ExtremalReport:
         raise NegBetaError("extremal analysis needs n >= 3")
     w_star = extremal_word(n)
     lam = b_of(w_star)
-    if not isinstance(lam, AlgebraicNumber):
-        raise InvariantError(f"extremal base of {w_star} is not an algebraic number")
     if not (lam.compare(Fraction(n - 2)) > 0 and lam.compare(Fraction(n - 1)) < 0):
         raise InvariantError("extremal base must lie strictly between n-2 and n-1")
     exhaustive = n <= SPECTRUM_BOUND
     attaining: list[Permutation] = []
     nm_set: list[Permutation] = []
     if exhaustive:
-        target_floor = n - 2
         for pi in all_permutations(n):
             sk = skeleton(pi)
-            nm = sk.n_minus
-            if nm == n - 1:
+            if sk.n_minus == n - 1:
                 nm_set.append(pi)
-            if nm - 1 == target_floor:
-                # candidate for the maximum; settle exactly
-                a = sk.a
-                if not _is_b1(a) and b_of(a).equals(lam):
+                # floor(B-) = n - 2: a candidate for the maximum; settle exactly
+                if b_of(sk.a).equals(lam):
                     attaining.append(pi)
     else:
         attaining = [max_families(n)[2] if n % 2 == 0 else max_families(n)[3]]
@@ -564,9 +542,9 @@ def min_alphabet_bruteforce(pi, max_prefix: int | None = None,
 
 # --- admissible witnesses and the threshold sandwich ---------------------------
 
-def _beta_plus(b, margin: Fraction) -> BetaValue:
-    """The base b + margin, for a threshold b (literal 1 or AlgebraicNumber)."""
-    return BetaValue.of(1 + margin if b == 1 else shift_root(b, margin))
+def _beta_plus(b: AlgebraicNumber, margin: Fraction) -> BetaValue:
+    """The base b + margin, for a threshold b."""
+    return BetaValue.of(shift_root(b, margin))
 
 
 def witness_word(pi, beta_margin=Fraction(1, 20)) -> EventuallyPeriodicWord:
@@ -595,7 +573,9 @@ def _witness_above(report: AnalysisReport, margin: Fraction,
     hit = _search_realizing(pi, beta.floor() + 1, 2 * n, 2 * n, admissibility=oracle)
     if hit is not None:
         return hit
-    raise SearchInconclusiveError(f"no admissible witness found for {pi} within bounds")
+    raise SearchInconclusiveError(
+        f"no admissible witness for {pi} at margin {margin} above B-: searched the seeded "
+        f"candidates, then preperiod and period up to {2 * n}")
 
 
 def _seeded_witnesses(report: AnalysisReport, precision: PrecisionConfig):
@@ -635,21 +615,20 @@ class SandwichReport:
     pi: Permutation
     b_decimal: str
     margin: Fraction
-    witness_above: EventuallyPeriodicWord | None
+    witness_above: EventuallyPeriodicWord
     found_below: EventuallyPeriodicWord | None
     found_at: EventuallyPeriodicWord | None
 
     @property
     def passed(self) -> bool:
-        return (self.witness_above is not None
-                and self.found_below is None and self.found_at is None)
+        return self.found_below is None and self.found_at is None
 
     def to_json(self) -> dict:
         return {
             "pi": str(self.pi),
             "b_minus": self.b_decimal,
             "margin": str(self.margin),
-            "witness_above": str(self.witness_above) if self.witness_above else None,
+            "witness_above": str(self.witness_above),
             "found_below": str(self.found_below) if self.found_below else None,
             "found_at": str(self.found_at) if self.found_at else None,
             "passed": self.passed,
@@ -670,7 +649,8 @@ def realizable_at(pi, beta, precision: PrecisionConfig = DEFAULT_PRECISION,
 def sandwich_check(pi, margin=Fraction(1, 20),
                    precision: PrecisionConfig = DEFAULT_PRECISION) -> SandwichReport:
     """Realizable just above the threshold, not realizable just below nor at
-    the threshold itself (within the searched class)."""
+    the threshold itself (within the searched class).  A witness search
+    that runs out raises SearchInconclusiveError: it refutes nothing."""
     pi = perm(pi)
     margin = Fraction(margin)
     report = analyze(pi)
@@ -679,13 +659,9 @@ def sandwich_check(pi, margin=Fraction(1, 20),
     if margin <= 0:
         raise NegBetaError("margin must be positive")
     b = report.b_minus
-    witness = None
-    try:
-        witness = _witness_above(report, margin, precision)
-    except SearchInconclusiveError:
-        pass
+    witness = _witness_above(report, margin, precision)
     below = None
-    if b.refine(Fraction(1, 2**24))[0] - margin > 1:
+    if b.refine(_COMPARE_WIDTH)[0] - margin > 1:
         below = realizable_at(pi, _beta_plus(b, -margin), precision)
     at = realizable_at(pi, b, precision)
     return SandwichReport(

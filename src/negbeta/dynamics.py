@@ -19,6 +19,7 @@ from math import gcd
 
 from . import words
 from .algebraic import (
+    _COMPARE_WIDTH,
     AlgebraicNumber,
     _has_root,
     _over_common_denominator,
@@ -91,8 +92,6 @@ class BetaValue:
             return value
         if isinstance(value, AlgebraicNumber):
             return cls.from_algebraic(value)
-        if value == 1:
-            raise NegBetaError("base must exceed 1")
         return cls.from_rational(value)
 
     @property
@@ -226,7 +225,7 @@ class _AlgebraicArith:
         g = _poly_gcd(self.sf, _strip(list(nums)))
         if len(g) <= 1:
             return False
-        lo, hi = self.num.refine(Fraction(1, 2**24))
+        lo, hi = self.num.refine(_COMPARE_WIDTH)
         return _has_root(g, lo, hi)
 
     def enclosure(self, x, tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -446,6 +445,8 @@ def expansion_of_one(beta, max_digits: int = 1000, detect_period: bool = True,
     this happens for some finite budget.  Without it, returns exactly
     max_digits digits and no word.
     """
+    if max_digits < 0:
+        raise NegBetaError(f"max_digits must be at least 0, got {max_digits}")
     if detect_period:
         stream = DigitStream(beta, 1, precision, max_digits=max_digits + 1)
         word = stream.detect_period(max_digits)

@@ -320,7 +320,8 @@ def _spectrum_all_pairs(n: int) -> list[SpectrumGroup]:
             groups.append(SpectrumGroup(value=b, poly=poly.squarefree_part(), members=[pi]))
     groups.sort(key=functools.cmp_to_key(lambda g, h: g.value.compare(h.value)))
     if ones:
-        groups.insert(0, SpectrumGroup(value=1, poly=IntPolynomial((-1, 1)), members=ones))
+        groups.insert(0, SpectrumGroup(value=algebraic.AlgebraicNumber.from_rational(1),
+                                       poly=IntPolynomial((-1, 1)), members=ones))
     for g in groups:
         g.members.sort(key=lambda p: p.image)
     return groups
@@ -378,12 +379,8 @@ def test_spectrum_six_gcd_budget(monkeypatch):
 
 def test_spectrum_groups_share_exact_value():
     for g in spectrum(4):
-        if g.value == 1:
-            continue
         for pi in g.members:
-            r = analyze(pi)
-            assert g.value.equals(r.b_minus) if not isinstance(r.b_minus, int) \
-                else g.value == r.b_minus
+            assert g.value.equals(analyze(pi).b_minus)
 
 
 # --- extremal structure --------------------------------------------------------------

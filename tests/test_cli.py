@@ -261,13 +261,30 @@ def test_bad_precision_and_margin_are_typed_errors(argv):
                                   ["realize", "4321", "--max-alphabet", "-1"],
                                   ["realize", "4321", "--max-alphabet", "0"],
                                   ["pat", "1(0)", "-2"],
-                                  ["pat", "1(0)", "0"]])
+                                  ["pat", "1(0)", "0"],
+                                  ["spectrum", "0"],
+                                  ["spectrum", "-3"],
+                                  ["spectrum", "1"],
+                                  ["expansion", "--beta", "2", "--digits", "-1"]])
 def test_bad_search_bounds_and_pattern_lengths_are_typed_errors(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         assert run([*argv, "--format", "json"]) == 2
     message = json.loads(err.getvalue())["error"]["message"]
-    assert message.startswith(("search bounds need", "pattern length must be at least 1"))
+    assert message.startswith(("search bounds need", "pattern length must be at least 1",
+                               "spectrum needs n >= 2", "max_digits must be at least 0"))
+
+
+def test_verify_whose_witness_search_runs_out_is_inconclusive():
+    # a witness within 10^-6 of B-(4321) needs a longer word than the search
+    # tries; running out refutes nothing, so there is no report to print
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["verify", "4321", "--margin", "1/1000000", "--format", "json"]) == 4
+    error = json.loads(err.getvalue())["error"]
+    assert error["reason"] == "search-inconclusive"
+    assert error["message"] == ("no admissible witness for 4321 at margin 1/1000000 above B-: "
+                                "searched the seeded candidates, then preperiod and period up to 8")
 
 
 _PERMS = st.integers(1, 6).flatmap(

@@ -33,3 +33,15 @@ def test_reports_over_small_permutations_are_pinned():
     assert _digest(reports) == "8c6e7464ef9694bf58938cb0d8fc6f2c5c4907724e218c76ff47cb93b4b10e75"
     sandwiches = [_sandwich_json(pi) for n in (4, 5) for pi in all_permutations(n)]
     assert _digest(sandwiches) == "926595fe8ea2118b1d41b1d033718fb1c95f943ac043c65264e5c36a958156df"
+
+
+@pytest.mark.parametrize("margin", [Fraction(1, 20), Fraction(1, 10**6)])
+def test_threshold_one_is_an_exact_algebraic_number(margin):
+    ones = [pi for n in range(2, 8) for pi in all_permutations(n) if _b1_fast(pi.image)]
+    assert len(ones) == 2 + 5 + 12 + 19 + 34 + 51
+    for pi in ones:
+        b = analyze(pi).b_minus
+        assert isinstance(b, AlgebraicNumber) and b.exact == 1
+        with pytest.raises(NegBetaError):
+            BetaValue.of(b)
+        assert _beta_plus(b, margin).rational == 1 + margin
