@@ -11,7 +11,6 @@ size needed by any realizing sequence is floor(b(a)) + 1.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,13 +45,13 @@ from .permutations import (
     Skeleton,
     a_sequence,
     all_permutations,
-    mark_count,
+    one_turn_images,
     perm,
     skeleton,
 )
 from .words import EventuallyPeriodicWord, canonicalize, periodization
 
-ENUMERATION_BOUND = 10
+ENUMERATION_BOUND = 12  # the largest n_max that count_b1 runs in a few seconds
 SPECTRUM_BOUND = 8  # the largest n whose whole S_n spectrum and extremal set are enumerated
 
 
@@ -62,10 +61,14 @@ def pat_of_word(w: EventuallyPeriodicWord, n: int) -> Permutation:
     """Ordinal pattern of the first n tails of w under alternating-lex order.
 
     pat(i) = j when the i-th tail is j-th smallest; coincident tails leave
-    the pattern undefined.
+    the pattern undefined, as tails q + 1 and q + 1 + p do for every n above
+    the preperiod length q plus the period length p.
     """
     if n < 1:
         raise NegBetaError(f"pattern length must be at least 1, got {n}")
+    q, p = len(w.pre), len(w.per)
+    if n > q + p:
+        raise PatternUndefinedError(f"tails {q + 1} and {q + 1 + p} of {w} coincide")
     cmp = words.tail_comparator(w, n)
     order = sorted(range(1, n + 1), key=functools.cmp_to_key(cmp))
     for a, b in zip(order, order[1:]):
@@ -210,42 +213,37 @@ def analyze(pi) -> AnalysisReport:
 # --- enumeration: counting threshold-1 permutations ---------------------------
 
 def _b1_fast(image: tuple[int, ...]) -> bool:
-    """Threshold-1 test tuned for full enumeration.
+    """Threshold-1 test on a raw one-line image.
 
     The first digit of the threshold word is the mark count (plus one when
-    collapsed), and the substitution fixed point starts with 1, so mark
-    counts of two or more are rejected from the raw image, before building a
-    permutation or its skeleton.
+    collapsed), and the substitution fixed point starts with 1, so a sum of
+    two or more rules threshold 1 out before the word is built.
     """
-    if mark_count(image) >= 2:
-        return False
     sk = skeleton(Permutation(image))
-    if sk.marks == 1 and sk.collapsed:
+    if sk.marks + sk.collapsed >= 2:
         return False
     return _is_b1(sk.a)
 
 
 def count_b1(n_max: int, jobs: int = 1) -> list[int]:
-    """Counts of permutations with threshold base exactly 1, for lengths
-    2 .. n_max, by full enumeration (no root isolation involved)."""
+    """Counts of permutations with threshold base exactly 1 for lengths
+    2 .. n_max, testing only images with at most one mark, a block per pi(n)."""
+    if n_max < 2 or jobs < 1:
+        raise NegBetaError(f"count_b1 needs n_max >= 2 and jobs >= 1, got {n_max} and {jobs}")
     if n_max > ENUMERATION_BOUND:
         raise ResourceLimitError(f"enumeration bound is {ENUMERATION_BOUND}, asked for {n_max}")
-    lengths = range(2, n_max + 1)
-    if jobs > 1 and n_max >= 2:
-        import multiprocessing
+    blocks = [[(n, last) for last in range(1, n + 1)] for n in range(2, n_max + 1)]
+    if jobs == 1:
+        return [sum(map(_count_b1_ending, length)) for length in blocks]
+    import multiprocessing
 
-        # one block per first value, so no length needs more than n_max workers
-        with multiprocessing.Pool(min(jobs, n_max)) as pool:
-            return [sum(pool.map(_count_b1_block, [(n, first) for first in range(1, n + 1)]))
-                    for n in lengths]
-    return [sum(1 for image in itertools.permutations(range(1, n + 1)) if _b1_fast(image))
-            for n in lengths]
+    with multiprocessing.Pool(min(jobs, n_max)) as pool:  # no length has more blocks
+        return [sum(pool.map(_count_b1_ending, length)) for length in blocks]
 
 
-def _count_b1_block(args) -> int:
-    n, first = args
-    rest = [v for v in range(1, n + 1) if v != first]
-    return sum(1 for tail in itertools.permutations(rest) if _b1_fast((first, *tail)))
+def _count_b1_ending(block: tuple[int, int]) -> int:
+    n, last = block
+    return sum(1 for image in one_turn_images(n, last, few=True) if _b1_fast(image))
 
 
 # --- the spectrum of thresholds over S_n --------------------------------------
@@ -369,7 +367,9 @@ def extremal_report(n: int) -> ExtremalReport:
     attaining: list[Permutation] = []
     nm_set: list[Permutation] = []
     if exhaustive:
-        for pi in all_permutations(n):
+        # N- = marks + 1 + epsilon = n - 1 needs at least n - 3 marks
+        for pi in map(Permutation, sorted(image for last in range(1, n + 1)
+                                          for image in one_turn_images(n, last, few=False))):
             sk = skeleton(pi)
             if sk.n_minus == n - 1:
                 nm_set.append(pi)

@@ -119,6 +119,68 @@ def all_permutations(n: int):
         yield Permutation(image)
 
 
+def one_turn_images(n: int, last: int, few: bool):
+    """The one-line images of length n ending in ``last`` whose companion
+    sequence s = (succ(i) : i != last) turns at most once: at an ascent when
+    ``few`` (mark count at most 1), at a descent otherwise (mark count at
+    least n - 3).  Grouped by pi(1), without repeats.
+
+    pi is fixed by pi(n), pi(1) = succ(pi(n)) and s.  For each pi(1), s is
+    chosen along i = 1..n (skipping last) as one monotone run, then turns
+    once and takes the values left in forced order; an s whose succ closes a
+    cycle shorter than n is dropped at the value where it closes.
+    """
+    positions = [i for i in range(1, n + 1) if i != last]
+    final = n - 2
+    succ = [0] * (n + 1)
+    # start[t] is the first value of the succ chain ending at t and end[h]
+    # the last value of the chain starting at h, kept current at chain ends
+    start = list(range(n + 1))
+    end = list(range(n + 1))
+
+    def image():
+        values = [succ[last]]
+        for _ in range(n - 1):
+            values.append(succ[values[-1]])
+        return tuple(values)
+
+    def extend(t: int, prev: int, rest: list[int]):
+        if t > final:
+            yield image()
+            return
+        if rest[-1] > prev if few else rest[0] < prev:
+            # the turn: the values left, in the order of the second run
+            undo = []
+            for k, v in enumerate(reversed(rest) if few else rest, start=t):
+                i = positions[k]
+                a = start[i]
+                if a == v and k < final:
+                    break  # closes a cycle that misses the values still open
+                b = end[v]
+                succ[i] = v
+                end[a], start[b] = b, a
+                undo.append((i, v, a, b))
+            else:
+                yield image()
+            for i, v, a, b in reversed(undo):
+                end[a], start[b] = i, v
+        i = positions[t]
+        a = start[i]
+        for v in rest:
+            if (v < prev if few else v > prev) and (a != v or t == final):
+                b = end[v]
+                succ[i] = v
+                end[a], start[b] = b, a
+                yield from extend(t + 1, v, [x for x in rest if x != v])
+                end[a], start[b] = i, v
+
+    for first in positions:
+        succ[last] = first
+        end[last], start[first] = first, last
+        yield from extend(0, n + 1 if few else 0, [v for v in range(1, n + 1) if v != first])
+        end[last], start[first] = last, first
+
+
 def circular(pi: Permutation) -> Permutation:
     """Companion sending pi(j) to pi(j+1) cyclically (pi(n) to pi(1)).
 

@@ -421,6 +421,7 @@ def test_one_skeleton_per_permutation(monkeypatch):
         return real(pi)
 
     survivors = sum(1 for n in range(2, 7) for pi in all_permutations(n) if max_z(pi) < 2)
+    many_marks = sum(1 for pi in all_permutations(6) if max_z(pi) >= 3)
     monkeypatch.setattr(permutations, "skeleton", counted)
     monkeypatch.setattr(analysis, "skeleton", counted)
     for text in ["3421", "892364157", "7325416", "1423", "4321"]:
@@ -429,7 +430,7 @@ def test_one_skeleton_per_permutation(monkeypatch):
         assert len(calls) == 1, text
     calls.clear()
     extremal_report(6)
-    assert len(calls) == 720
+    assert len(calls) == many_marks
     calls.clear()
     spectrum(5)
     assert len(calls) == 120

@@ -275,6 +275,29 @@ def test_bad_search_bounds_and_pattern_lengths_are_typed_errors(argv):
                                "spectrum needs n >= 2", "max_digits must be at least 0"))
 
 
+@pytest.mark.parametrize("argv", [["count-b1", "1"],
+                                  ["count-b1", "-2"],
+                                  ["count-b1", "6", "--jobs", "0"],
+                                  ["count-b1", "6", "--jobs", "-3"]])
+def test_count_b1_rejects_short_lengths_and_job_counts(argv):
+    code, _, err = invoke([*argv, "--format", "json"])
+    assert code == 2 and "Traceback" not in err
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("count_b1 needs n_max >= 2 and jobs >= 1")
+
+
+def test_pattern_longer_than_the_word_is_undefined_at_once():
+    # tails 2 and 3 of 1(0) are both (0); nothing of length n is built
+    proc = subprocess.run(
+        [sys.executable, "-m", "negbeta.cli", "pat", "1(0)", "200000000", "--format", "json"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    error = json.loads(proc.stderr)
+    assert error["error"] == {"reason": "pattern-undefined",
+                              "message": "tails 2 and 3 of 1(0) coincide"}
+    assert error["timing_ms"] < 1000
+
+
 def test_verify_whose_witness_search_runs_out_is_inconclusive():
     # a witness within 10^-6 of B-(4321) needs a longer word than the search
     # tries; running out refutes nothing, so there is no report to print

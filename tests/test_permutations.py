@@ -1,4 +1,6 @@
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,9 @@ from negbeta.permutations import (
     circular,
     is_collapsed,
     landmarks,
+    mark_count,
     max_z,
+    one_turn_images,
     parse_permutation,
     skeleton,
     z_digits,
@@ -147,6 +151,18 @@ def test_max_z_equals_ascents_of_cut_companion():
         cut = [v for idx, v in enumerate(tilde, start=1) if idx != pi(pi.n)]
         ascents = sum(1 for x, y in zip(cut, cut[1:]) if x < y)
         assert max_z(pi) == ascents
+
+
+def test_one_turn_images_are_the_few_and_many_mark_images():
+    # oracle: all of S_n, filtered by mark count
+    for n in range(2, 9):
+        marks = {image: mark_count(image) for image in itertools.permutations(range(1, n + 1))}
+        for last in range(1, n + 1):
+            for few in (True, False):
+                got = list(one_turn_images(n, last, few))
+                assert len(got) == len(set(got)), (n, last, few)
+                assert set(got) == {image for image, k in marks.items() if image[-1] == last
+                                    and (k <= 1 if few else k >= n - 3)}, (n, last, few)
 
 
 def test_z_monotone_in_rank_with_tiebreak():
