@@ -1,9 +1,10 @@
 """Integer polynomials, exact real root isolation, and the algebraic numbers
 attached to eventually periodic digit words.
 
-Root isolation is exact.  Rational roots are found by the rational root test
-and kept exact; they are divided out of the squarefree part, so the part
-left has only irrational roots and no rational grid point is one of them.
+Root isolation is exact.  A rational is a point interval (r, r), with no
+separate exact value; rational roots, found by the rational root test, are
+divided out of the squarefree part, so the part left has only irrational
+roots and no rational grid point is one of them.
 Its roots are isolated on the midpoint grid of the interval by Descartes'
 rule of signs (Collins-Akritas; Rouillier-Zimmermann): a cell mapped onto
 (0, 1) with no sign variation holds no root, one with one variation holds
@@ -445,7 +446,8 @@ def char_polynomial(w: EventuallyPeriodicWord) -> IntPolynomial:
 
 # The width every exact comparison refines to: ``_equals_rational`` matches
 # ``equals``, and ``spectrum`` refines each root to it up front, so an interval
-# ends up the same whichever way its number was compared.
+# ends up the same whichever way its number was compared.  A rational is a
+# point interval, which no refinement changes.
 _COMPARE_WIDTH = Fraction(1, 2**24)
 
 @dataclass
@@ -455,12 +457,11 @@ class AlgebraicNumber:
     ``interval`` is a pair of rationals enclosing exactly one root of the
     squarefree part, with a sign change across it; ``refine`` shrinks it
     monotonically (nested intervals), which is safe to repeat concurrently.
-    Exact rationals are carried with a degenerate interval.
+    A rational is the point interval (r, r), however it was built.
     """
 
     polynomial: IntPolynomial
     interval: tuple[Fraction, Fraction]
-    exact: Fraction | None = None
     _sf: Coeffs = field(default=(), repr=False)
     # set once Descartes' rule has shown the interval holds one root of _sf
     _unique: bool = field(default=False, repr=False)
@@ -473,17 +474,20 @@ class AlgebraicNumber:
     def from_rational(cls, value: Fraction) -> "AlgebraicNumber":
         value = Fraction(value)
         poly = IntPolynomial((-value.numerator, value.denominator)).sign_normalized()
-        return cls(poly, (value, value), exact=value)
+        return cls(poly, (value, value))
+
+    @property
+    def exact(self) -> Fraction | None:
+        """The number itself when its interval is a point, else None."""
+        return self.interval[0] if self.is_rational() else None
 
     def is_rational(self) -> bool:
-        return self.exact is not None
+        return self.interval[0] == self.interval[1]
 
     def refine(self, tol: Fraction | float = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
         """Bisect the interval until it is at most tol wide; a midpoint where
-        the squarefree part vanishes makes the number exact.  Deep
+        the squarefree part vanishes becomes the point interval.  Deep
         refinements land on the same cell with Newton steps (see _land)."""
-        if self.exact is not None:
-            return self.interval
         if not isinstance(tol, Fraction):
             tol = Fraction(tol)
         if tol.numerator <= 0:
@@ -504,13 +508,7 @@ class AlgebraicNumber:
         s_lo = _sign_hom(sf, L, den)
         if k > _LAND_FROM and self._one_root(L, H, den, s_lo):
             L, H, den, k = _land(sf, L, H, den, s_lo, k)
-        if L != H:
-            L, H, den = _bisect(sf, L, H, den, s_lo, k)
-        if L == H:
-            mid = Fraction(L, den)
-            self.exact = mid
-            self.interval = (mid, mid)
-            return self.interval
+        L, H, den = _bisect(sf, L, H, den, s_lo, k)
         self.interval = (Fraction(L, den), Fraction(H, den))
         return self.interval
 
@@ -526,10 +524,7 @@ class AlgebraicNumber:
 
     def floor(self) -> int:
         """Exact floor; terminates because irrational roots never sit on an
-        integer and rational roots are stored exactly."""
-        if self.exact is not None:
-            num, den = self.exact.numerator, self.exact.denominator
-            return num // den
+        integer and a rational root is a point interval."""
         lo, hi = self.refine(Fraction(1, 4))
         while lo.__floor__() != hi.__floor__():
             n = hi.__floor__()
@@ -561,18 +556,14 @@ class AlgebraicNumber:
         def half_up(x: Fraction) -> int:
             return (x * scale + Fraction(1, 2)).__floor__()
 
-        if self.exact is not None:
-            n = half_up(self.exact)
-        else:
-            tol = Fraction(1, 10 * scale)
-            while True:
-                lo, hi = self.refine(tol)
-                n, n_hi = half_up(lo), half_up(hi)
-                if n == n_hi:
-                    break
-                # an irrational root never sits exactly on the rounding grid,
-                # so the interval eventually clears the boundary
-                tol /= 2**8
+        tol = Fraction(1, 10 * scale)
+        lo, hi = self.refine(tol)
+        while half_up(lo) != half_up(hi):
+            # an irrational root never sits exactly on the rounding grid,
+            # so the interval eventually clears the boundary
+            tol /= 2**8
+            lo, hi = self.refine(tol)
+        n = half_up(lo)
         sign = "-" if n < 0 else ""
         n = abs(n)
         if not places:
@@ -601,8 +592,8 @@ class AlgebraicNumber:
         when it lies in the interval and the squarefree part vanishes there."""
         if isinstance(other, (int, Fraction)):
             return self._equals_rational(Fraction(other))
-        if self.exact is not None and other.exact is not None:
-            return self.exact == other.exact
+        if not isinstance(other, AlgebraicNumber):
+            raise TypeError(f"cannot compare an AlgebraicNumber with {type(other).__name__}")
         if self.interval[1] < other.interval[0] or other.interval[1] < self.interval[0]:
             return False
         g = _poly_gcd(self._sf, other._sf)
@@ -614,8 +605,6 @@ class AlgebraicNumber:
         return lo <= hi and _has_root(g, lo, hi)
 
     def _equals_rational(self, r: Fraction) -> bool:
-        if self.exact is not None:
-            return self.exact == r
         lo, hi = self.interval
         if not lo <= r <= hi or _sign_at(self._sf, r) != 0:
             return False
@@ -628,16 +617,24 @@ class AlgebraicNumber:
         return NotImplemented
 
     def __lt__(self, other):
-        return self.compare(other) < 0
+        if isinstance(other, (int, Fraction, AlgebraicNumber)):
+            return self.compare(other) < 0
+        return NotImplemented
 
     def __le__(self, other):
-        return self.compare(other) <= 0
+        if isinstance(other, (int, Fraction, AlgebraicNumber)):
+            return self.compare(other) <= 0
+        return NotImplemented
 
     def __gt__(self, other):
-        return self.compare(other) > 0
+        if isinstance(other, (int, Fraction, AlgebraicNumber)):
+            return self.compare(other) > 0
+        return NotImplemented
 
     def __ge__(self, other):
-        return self.compare(other) >= 0
+        if isinstance(other, (int, Fraction, AlgebraicNumber)):
+            return self.compare(other) >= 0
+        return NotImplemented
 
     def __hash__(self):
         raise TypeError("AlgebraicNumber is not hashable; group through equals()")
@@ -692,7 +689,7 @@ class _Isolation:
         self.deflated = deflated
 
     def exact_roots(self) -> list[AlgebraicNumber]:
-        return [AlgebraicNumber(self.poly, (r, r), exact=r, _sf=self.sf) for r in self.rats]
+        return [AlgebraicNumber(self.poly, (r, r), _sf=self.sf) for r in self.rats]
 
     def _clear_rationals(self, root: AlgebraicNumber) -> AlgebraicNumber:
         """Shrink the interval of an irrational root until it holds no exact
@@ -807,8 +804,6 @@ def b_of(w: EventuallyPeriodicWord) -> AlgebraicNumber:
 def shift_root(num: AlgebraicNumber, c) -> AlgebraicNumber:
     """The number num + c for rational c, as a root of the shifted polynomial."""
     c = Fraction(c)
-    if num.is_rational():
-        return AlgebraicNumber.from_rational(num.exact + c)
     lo, hi = num.refine(_COMPARE_WIDTH)
     # b^n P(x - a/b), with c = a/b: the map x -> (b x - a) / b of _on_unit
     a, b = c.numerator, c.denominator

@@ -47,6 +47,7 @@ from .permutations import (
     all_permutations,
     one_turn_images,
     perm,
+    rank_positions,
     skeleton,
 )
 from .words import EventuallyPeriodicWord, canonicalize, periodization
@@ -69,15 +70,10 @@ def pat_of_word(w: EventuallyPeriodicWord, n: int) -> Permutation:
     q, p = len(w.pre), len(w.per)
     if n > q + p:
         raise PatternUndefinedError(f"tails {q + 1} and {q + 1 + p} of {w} coincide")
-    cmp = words.tail_comparator(w, n)
-    order = sorted(range(1, n + 1), key=functools.cmp_to_key(cmp))
-    for a, b in zip(order, order[1:]):
-        if cmp(a, b) == 0:
-            raise PatternUndefinedError(f"tails {a} and {b} of {w} coincide")
-    image = [0] * n
-    for rank, start in enumerate(order, start=1):
-        image[start - 1] = rank
-    return Permutation(tuple(image))
+    image, tie = rank_positions(range(1, n + 1), words.tail_comparator(w, n))
+    if tie:
+        raise PatternUndefinedError(f"tails {tie[0]} and {tie[1]} of {w} coincide")
+    return Permutation(image)
 
 
 def pat_of_orbit(beta, x, n: int) -> Permutation:
@@ -86,16 +82,10 @@ def pat_of_orbit(beta, x, n: int) -> Permutation:
     if n < 1:
         raise NegBetaError(f"pattern length must be at least 1, got {n}")
     arith, pts = orbit_points(beta, x, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if arith.equal(pts[i], pts[j]):
-                raise PatternUndefinedError(f"orbit revisits a point at steps {i} and {j}")
-    order = sorted(range(n), key=functools.cmp_to_key(
-        lambda a, b: arith.compare(pts[a], pts[b])))
-    image = [0] * n
-    for rank, idx in enumerate(order, start=1):
-        image[idx] = rank
-    return Permutation(tuple(image))
+    image, tie = rank_positions(range(n), lambda a, b: arith.compare(pts[a], pts[b]))
+    if tie:
+        raise PatternUndefinedError(f"orbit revisits a point at steps {tie[0]} and {tie[1]}")
+    return Permutation(image)
 
 
 def prop1_check(w: EventuallyPeriodicWord, pi: Permutation) -> bool:

@@ -98,9 +98,6 @@ class BetaValue:
     def rational(self) -> Fraction | None:
         return self.algebraic.exact
 
-    def is_rational(self) -> bool:
-        return self.algebraic.is_rational()
-
     def floor(self) -> int:
         return self.algebraic.floor()
 

@@ -13,14 +13,13 @@ never on a guessed reading.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 from . import words
 from .dynamics import validate_expansion
 from .errors import ConstructionFailedError, DegenerateExpansionError, NegBetaError
-from .permutations import Permutation, a_sequence
+from .permutations import Permutation, a_sequence, rank_positions
 from .words import EventuallyPeriodicWord
 
 CANDIDATE_CAP = 50000
@@ -60,16 +59,9 @@ def rho_of(w: EventuallyPeriodicWord) -> Permutation:
     """
     q, p, _ = w.padded_form()
     size = p + q
-    cmp = words.tail_comparator(w, size - 1)
-    order = sorted(range(1, size), key=functools.cmp_to_key(cmp))
-    # equal tails sort next to each other, in increasing position
-    ties = [(a, b) for a, b in zip(order, order[1:]) if cmp(a, b) == 0]
-    if ties:
-        i, j = min(ties)
-        raise DegenerateExpansionError(f"tails {i} and {j} of {w} coincide")
-    sigma = [0] * (size - 1)
-    for rank, start in enumerate(order, start=1):
-        sigma[start - 1] = rank
+    sigma, tie = rank_positions(range(1, size), words.tail_comparator(w, size - 1))
+    if tie:
+        raise DegenerateExpansionError(f"tails {tie[0]} and {tie[1]} of {w} coincide")
     sq = sigma[q - 1]
     if size % 2 == 0:
         image = [s + 1 if s >= sq else s for s in sigma] + [sq]
@@ -103,16 +95,11 @@ def _display_value(d: int, rank: int, ri1: int, rj1: int, some_pos: bool) -> int
 
 
 def y_digits(w: EventuallyPeriodicWord, rho: Permutation,
-             vacuous_bonus: bool = False, strict: bool = True) -> tuple[int, ...]:
-    """Insertion counts, assigned downward from the top rank.
-
-    With strict=True this is the literal display reading, the first vector of
-    the candidate search (its second when vacuous_bonus applies to an empty
-    closing range), and raises on the uncovered guard configuration; with
-    strict=False the certified (round-trip verified) vector is returned.
-    """
-    if not strict:
-        return construct_state(w, check_expansion=False).y
+             vacuous_bonus: bool = False) -> tuple[int, ...]:
+    """Insertion counts, assigned downward from the top rank: the literal
+    display reading, the first vector of the candidate search (its second when
+    vacuous_bonus applies to an empty closing range).  Raises on the uncovered
+    guard configuration; ``construct_state(w).y`` is the certified vector."""
     (y, _, silent), (flipped, vacuous, _) = itertools.islice(_y_vector_candidates(w, rho), 2)
     if silent is not None:
         raise NegBetaError(f"no insertion rule matches at rank {silent} for {w} (rho={rho})")

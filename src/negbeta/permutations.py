@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from .errors import (
     MalformedPermutationError,
@@ -77,6 +77,21 @@ class DigitVector:
         if all(d <= 9 for d in self.digits):
             return "".join(str(d) for d in self.digits)
         return ",".join(str(d) for d in self.digits)
+
+
+def rank_positions(positions: range, cmp) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
+    """The rank under cmp of each position, in the order of positions, or
+    the least pair of positions that cmp finds equal, as (ranks, None) or
+    (None, pair).  The sort is stable, so equal positions sort next to each
+    other in increasing order, and the least tied neighbours are that pair."""
+    order = sorted(positions, key=cmp_to_key(cmp))
+    ties = [(a, b) for a, b in zip(order, order[1:]) if cmp(a, b) == 0]
+    if ties:
+        return None, min(ties)
+    ranks = [0] * len(positions)
+    for rank, pos in enumerate(order, start=1):
+        ranks[pos - positions.start] = rank
+    return tuple(ranks), None
 
 
 def perm(spec) -> Permutation:

@@ -82,7 +82,7 @@ def isolate_real_roots(poly, lo, hi):
     deflated = sf
     for r in all_rats:
         deflated = _exact_div(deflated, (-r.numerator, r.denominator))
-    out = [AlgebraicNumber(poly, (r, r), exact=r, _sf=sf) for r in rats]
+    out = [AlgebraicNumber(poly, (r, r), _sf=sf) for r in rats]
     chain = sturm_chain(deflated) if len(deflated) > 1 else []
 
     def var(x):

@@ -335,6 +335,33 @@ def test_comparing_with_a_plain_rational_needs_no_gcd(monkeypatch):
     assert calls == []
 
 
+def test_a_point_interval_is_a_rational_however_it_was_built(monkeypatch):
+    point = AlgebraicNumber(IntPolynomial((-3, 2)), (Fraction(3, 2), Fraction(3, 2)))
+    assert point.is_rational() and point.exact == Fraction(3, 2) and str(point) == "3/2"
+    assert point.floor() == 1 and point.decimal(2) == "1.50"
+    calls = _count_gcds(monkeypatch)
+    assert point.equals(Fraction(3, 2)) and point.compare(Fraction(3, 2)) == 0
+    assert calls == []
+    assert shift_root(point, Fraction(1, 2)).exact == 2
+    # a root that refine lands on a bisection midpoint reads as that rational
+    on_grid = AlgebraicNumber(IntPolynomial(_mul((-3, 2), (-5, 0, 1))), (Fraction(1), Fraction(2)))
+    assert on_grid.exact is None and not on_grid.is_rational()
+    assert on_grid.refine(Fraction(1, 4)) == (Fraction(3, 2), Fraction(3, 2))
+    assert on_grid.is_rational() and on_grid.exact == Fraction(3, 2) and str(on_grid) == "3/2"
+
+
+def test_ordering_against_a_float_is_a_type_error():
+    golden = largest_root_gt1(poly_from_descending(1, -1, -1))
+    for order in (lambda: golden < 1.5, lambda: golden <= 1.5, lambda: golden > 1.5,
+                  lambda: golden >= 1.5, lambda: 1.5 < golden):
+        with pytest.raises(TypeError):
+            order()
+    for exact_test in (golden.compare, golden.equals):
+        with pytest.raises(TypeError, match="float"):
+            exact_test(1.5)
+    assert golden != 1.5 and golden.compare(Fraction(3, 2)) > 0
+
+
 def test_algebraic_equality_across_defining_polynomials():
     a = largest_root_gt1(poly_from_descending(1, -1, -1))
     b = largest_root_gt1(poly_from_descending(1, 0, -2, -1))  # x^3 - 2x - 1 = (x^2-x-1)(x+1)

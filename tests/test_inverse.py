@@ -108,8 +108,8 @@ def test_literal_reading_has_an_uncovered_configuration():
     # successor rank above, empty range; the certified vector resolves it
     w = word("(31)")
     with pytest.raises(NegBetaError):
-        y_digits(w, rho_of(w), strict=True)
-    assert y_digits(w, rho_of(w), strict=False) == (3, 1, 0)
+        y_digits(w, rho_of(w))
+    assert construct_state(w, check_expansion=False).y == (3, 1, 0)
 
 
 def _safe_validate(w):
@@ -123,7 +123,7 @@ def _safe_validate(w):
 
 def _literal_y_digits(w, rho, vacuous_bonus):
     """The printed display read literally, rank by rank from the top: the
-    reference for y_digits(strict=True)."""
+    reference for y_digits."""
     q, p, digits = w.padded_form()
     size = p + q
     inv = rho.inverse()
