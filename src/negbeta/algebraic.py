@@ -19,7 +19,7 @@ fixed-point Newton steps find the cell and the exact signs at its ends
 certify it; anything uncertified falls back to bisection.
 
 The squarefree part skips the integer gcd whenever it can: a polynomial
-coprime to its derivative modulo the prime 2^61 - 1, which does not divide
+coprime to its derivative modulo the prime 2^30 - 35, which does not divide
 its leading coefficient, is squarefree.  The integer gcd is a primitive
 pseudo-remainder sequence.
 """
@@ -149,7 +149,8 @@ def _poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     return f if f[-1] > 0 else tuple(-c for c in f)
 
 
-_MODULUS = (1 << 61) - 1  # a prime
+# a prime below 2^30, so the residues of the modular Euclid are one-digit ints
+_MODULUS = (1 << 30) - 35
 
 
 def _coprime_mod(a: Coeffs, b: Coeffs, m: int = _MODULUS) -> bool:
@@ -472,6 +473,8 @@ class AlgebraicNumber:
 
     @classmethod
     def from_rational(cls, value: Fraction) -> "AlgebraicNumber":
+        if isinstance(value, float):
+            raise TypeError(f"a rational must be an int or a Fraction, not the float {value!r}")
         value = Fraction(value)
         poly = IntPolynomial((-value.numerator, value.denominator)).sign_normalized()
         return cls(poly, (value, value))
@@ -553,8 +556,9 @@ class AlgebraicNumber:
             raise NegBetaError(f"decimal places must be at least 0, got {places}")
         scale = 10**places
 
-        def half_up(x: Fraction) -> int:
-            return (x * scale + Fraction(1, 2)).__floor__()
+        def half_up(x: Fraction) -> int:  # floor(x * scale + 1/2)
+            n, d = x.numerator, x.denominator
+            return (2 * n * scale + d) // (2 * d)
 
         tol = Fraction(1, 10 * scale)
         lo, hi = self.refine(tol)
@@ -614,6 +618,8 @@ class AlgebraicNumber:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicNumber)):
             return self.equals(other)
+        if isinstance(other, float):
+            raise TypeError("cannot compare an AlgebraicNumber with float")
         return NotImplemented
 
     def __lt__(self, other):
@@ -744,7 +750,9 @@ class _Isolation:
     def largest(self, top: int | None = None) -> AlgebraicNumber | None:
         """The greatest root in (lo, hi], or None."""
         roots = self.exact_roots()[-1:] + list(itertools.islice(self.irrational_roots(top), 1))
-        return max(roots, key=_by_midpoint, default=None)
+        if len(roots) > 1:
+            return max(roots, key=_by_midpoint)
+        return roots[0] if roots else None
 
 
 def _by_midpoint(root: AlgebraicNumber) -> Fraction:
@@ -764,7 +772,8 @@ def root_upper_bound(poly: IntPolynomial) -> Fraction:
     c = poly.coefficients
     if not c:
         raise MalformedBaseError("the zero polynomial has no root bound")
-    return 1 + Fraction(max(abs(x) for x in c), abs(c[-1]))
+    lead = abs(c[-1])
+    return Fraction(lead + max(abs(x) for x in c), lead)
 
 
 def largest_root_gt1(poly: IntPolynomial) -> AlgebraicNumber | None:

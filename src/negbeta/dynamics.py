@@ -43,19 +43,19 @@ class PrecisionConfig:
 
     start_bits: int = 128
     max_bits: int = 4096
+    _tolerances: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.start_bits <= self.max_bits:
             raise NegBetaError(f"precision needs 1 <= start_bits <= max_bits, got "
                                f"{self.start_bits} and {self.max_bits}")
+        bits = [self.start_bits]
+        while bits[-1] < self.max_bits:
+            bits.append(2 * bits[-1])
+        object.__setattr__(self, "_tolerances", tuple(Fraction(1, 2**b) for b in bits))
 
-    def tolerances(self):
-        bits = self.start_bits
-        while True:
-            yield Fraction(1, 2**bits)
-            if bits >= self.max_bits:
-                return
-            bits *= 2
+    def tolerances(self) -> tuple[Fraction, ...]:
+        return self._tolerances
 
 
 DEFAULT_PRECISION = PrecisionConfig()
@@ -73,16 +73,17 @@ class BetaValue:
 
     @classmethod
     def from_rational(cls, value) -> "BetaValue":
-        value = Fraction(value)
-        if value <= 1:
-            raise NegBetaError(f"base must exceed 1, got {value}")
-        return cls(AlgebraicNumber.from_rational(value))
+        num = AlgebraicNumber.from_rational(value)
+        if num.exact <= 1:
+            raise NegBetaError(f"base must exceed 1, got {num.exact}")
+        return cls(num)
 
     @classmethod
     def from_algebraic(cls, num: AlgebraicNumber) -> "BetaValue":
         if num.is_rational():
             return cls.from_rational(num.exact)
-        if num.compare(1) <= 0:
+        # a number other than 1 whose interval starts at 1 or above exceeds 1
+        if (num.interval[0] < 1 or num.equals(1)) and num.compare(1) <= 0:
             raise NegBetaError("base must exceed 1")
         return cls(num)
 
@@ -123,7 +124,7 @@ class _AlgebraicArith:
         self.num = num
         self.sf = num._sf
         self.deg = len(self.sf) - 1
-        self._tolerances = tuple(precision.tolerances())
+        self._tolerances = precision.tolerances()
         # the interval of num last seen by _bounds, and its integer form (L, H, q)
         self._interval = None
         self._ints = None

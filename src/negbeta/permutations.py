@@ -18,7 +18,7 @@ from .errors import (
     UndefinedLandmarksError,
     VariantUndefinedError,
 )
-from .words import EventuallyPeriodicWord, canonicalize
+from .words import EventuallyPeriodicWord, _canonical
 
 
 @dataclass(frozen=True)
@@ -259,10 +259,10 @@ class Skeleton:
         m = lm.m
         even = (n - m) % 2 == 0
         if even and self.pi(n) == 1:
-            return canonicalize((), self.z.digits[m - 1:] + (0,))
+            return _canonical((), self.z.digits[m - 1:] + (0,))
         tail = lm.ell if even else lm.r
         vectors = self.variants if self.collapsed else (self.z,)
-        return min(canonicalize(v.digits[m - 1:], v.digits[tail - 1:]) for v in vectors)
+        return min(_canonical(v.digits[m - 1:], v.digits[tail - 1:]) for v in vectors)
 
     @cached_property
     def epsilon(self) -> int:
@@ -270,7 +270,7 @@ class Skeleton:
         of (max z, 0), else 0."""
         if self.collapsed:
             return 1
-        return 1 if self.a == canonicalize((), (self.marks, 0)) else 0
+        return 1 if self.a == _canonical((), (self.marks, 0)) else 0
 
     @property
     def n_minus(self) -> int:

@@ -86,9 +86,9 @@ class EventuallyPeriodicWord:
             raise IndexError("positions are 1-based")
         q = len(self.pre)
         if k <= q + 1:
-            return canonicalize(self.pre[k - 1:], self.per)
+            return _canonical(self.pre[k - 1:], self.per)
         j = (k - q - 1) % len(self.per)
-        return canonicalize((), self.per[j:] + self.per[:j])
+        return _canonical((), self.per[j:] + self.per[:j])
 
     def distinct_tails(self) -> list["EventuallyPeriodicWord"]:
         """All tails of the word; every tail equals one of these."""
@@ -147,12 +147,16 @@ def canonicalize(preperiod, period) -> EventuallyPeriodicWord:
     >>> canonicalize("10", "10")
     word('(10)')
     """
-    pre = list(_as_digits(preperiod))
-    per = list(_as_digits(period))
+    return _canonical(_as_digits(preperiod), _as_digits(period))
+
+
+def _canonical(pre: Digits, per: Digits) -> EventuallyPeriodicWord:
+    """canonicalize for tuples of non-negative int digits, which it takes
+    as they are: the library's own digits need no validation."""
     if not per:
         raise MalformedWordError("empty period")
-    root, _ = primitive_root(tuple(per))
-    per = list(root)
+    per = list(primitive_root(per)[0])
+    pre = list(pre)
     while pre and pre[-1] == per[-1]:
         pre.pop()
         per = [per[-1]] + per[:-1]

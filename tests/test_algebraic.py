@@ -88,6 +88,39 @@ def test_golden_ratio_isolated():
     assert r.decimal(10) == "1.6180339887"
 
 
+def _half_up_by_fractions(root: AlgebraicNumber, places: int) -> str:
+    """decimal's rounding, read with Fraction arithmetic on a twin of root."""
+    twin, scale = AlgebraicNumber(root.polynomial, root.interval), 10**places
+    tol = Fraction(1, 10 * scale)
+    while True:
+        lo, hi = twin.refine(tol)
+        n = (lo * scale + Fraction(1, 2)).__floor__()
+        if n == (hi * scale + Fraction(1, 2)).__floor__():
+            break
+        tol /= 2**8
+    sign, n = "-" if n < 0 else "", abs(n)
+    return f"{sign}{n}" if not places else f"{sign}{n // scale}.{n % scale:0{places}d}"
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=6), st.integers(0, 15))
+@settings(max_examples=150, deadline=None)
+def test_decimal_rounds_half_up_as_fraction_arithmetic_does(coeffs, places):
+    poly = IntPolynomial(tuple(coeffs))
+    assume(poly.degree >= 1)
+    bound = root_upper_bound(poly)
+    for root in isolate_real_roots(poly, -bound, bound):
+        assert root.decimal(places) == _half_up_by_fractions(root, places)
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=2000), st.integers(0, 15))
+@example(Fraction(-5, 2), 0)
+@example(Fraction(1, 8), 2)
+@example(Fraction(-1, 8), 2)
+def test_decimal_of_a_rational_rounds_half_up_as_fraction_arithmetic_does(value, places):
+    root = AlgebraicNumber.from_rational(value)
+    assert root.decimal(places) == _half_up_by_fractions(root, places)
+
+
 def test_decimal_with_no_places_has_no_point():
     assert largest_root_gt1(poly_from_descending(1, -1, -1)).decimal(0) == "2"
     assert AlgebraicNumber.from_rational(Fraction(7, 3)).decimal(0) == "2"
@@ -359,7 +392,26 @@ def test_ordering_against_a_float_is_a_type_error():
     for exact_test in (golden.compare, golden.equals):
         with pytest.raises(TypeError, match="float"):
             exact_test(1.5)
-    assert golden != 1.5 and golden.compare(Fraction(3, 2)) > 0
+    assert golden.compare(Fraction(3, 2)) > 0
+
+
+def test_equality_with_a_float_is_a_type_error():
+    # equal values, so an answer of False would be wrong, not merely inexact
+    one = AlgebraicNumber.from_rational(1)
+    golden = largest_root_gt1(poly_from_descending(1, -1, -1))
+    for equality in (lambda: one == 1.0, lambda: 1.0 == one, lambda: one != 1.0,
+                     lambda: golden == 1.5, lambda: golden != 1.5):
+        with pytest.raises(TypeError, match="float"):
+            equality()
+    assert one == 1 and one == Fraction(1) and golden != 1 and golden != "golden"
+
+
+def test_a_float_is_not_lifted_to_a_rational():
+    for value in (1.5, 1.1, 2.0):
+        with pytest.raises(TypeError, match="float"):
+            AlgebraicNumber.from_rational(value)
+    assert AlgebraicNumber.from_rational(Fraction(3, 2)).exact == Fraction(3, 2)
+    assert AlgebraicNumber.from_rational(2).exact == 2
 
 
 def test_algebraic_equality_across_defining_polynomials():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negbeta import algebraic, analysis, dynamics, permutations
+from negbeta import algebraic, analysis, dynamics, permutations, words
 from negbeta.algebraic import (
     IntPolynomial,
     _poly_gcd,
@@ -363,6 +363,16 @@ def test_analyze_n14_gcd_and_rational_lift_budget(monkeypatch):
     report = analyze("14,3,12,1,9,6,13,2,8,11,4,10,7,5")
     assert report.b_minus.decimal(12) == "6.812708576275"
     assert (len(gcds), len(lifts)) == (0, 0)
+
+
+def test_analyze_validates_no_digits_it_built_itself(monkeypatch):
+    # the threshold word and its tails come from the skeleton's own digits
+    calls = []
+    real = words._as_digits
+    monkeypatch.setattr(words, "_as_digits", lambda seq: calls.append(seq) or real(seq))
+    report = analyze("892364157")
+    assert str(report.a) == "(30121023)" and report.b_minus.decimal(6) == "3.830651"
+    assert calls == []
 
 
 def test_spectrum_six_gcd_budget(monkeypatch):

@@ -622,6 +622,54 @@ def test_precision_config_rejects_nonpositive_bits():
             dynamics.PrecisionConfig(start_bits=start, max_bits=top)
 
 
+def test_two_arithmetics_on_one_config_share_its_tolerances():
+    config = dynamics.PrecisionConfig(start_bits=48, max_bits=200)
+    assert config.tolerances() == tuple(Fraction(1, 2**b) for b in (48, 96, 192, 384))
+    golden, fig1 = largest_root_gt1(GOLDEN), largest_root_gt1(FIG1_BASE)
+    first, second = dynamics._AlgebraicArith(golden, config), dynamics._AlgebraicArith(fig1, config)
+    # built once, with the config, not once per arithmetic
+    assert first._tolerances is second._tolerances is config.tolerances()
+    assert dynamics.PrecisionConfig(64, 64).tolerances() == (Fraction(1, 2**64),)
+    assert config == dynamics.PrecisionConfig(start_bits=48, max_bits=200)
+
+
+# --- bases: what BetaValue accepts ----------------------------------------------------
+
+def test_from_algebraic_accepts_a_root_whose_interval_starts_at_one(monkeypatch):
+    compares = []
+    real = AlgebraicNumber.compare
+    monkeypatch.setattr(AlgebraicNumber, "compare", lambda n, o: compares.append(o) or real(n, o))
+    golden = AlgebraicNumber(GOLDEN, (Fraction(1), Fraction(2)))
+    assert BetaValue.from_algebraic(golden).algebraic is golden
+    assert compares == [] and golden.interval == (Fraction(1), Fraction(2))
+    # an interval reaching below 1 still needs the comparison
+    low = AlgebraicNumber(GOLDEN, (Fraction(1, 2), Fraction(2)))
+    assert BetaValue.from_algebraic(low).algebraic is low and compares == [1]
+
+
+def test_from_algebraic_rejects_one_and_numbers_below_it():
+    one = poly_from_descending(1, -1)
+    inverse_golden = poly_from_descending(1, 1, -1)  # (sqrt 5 - 1) / 2
+    for num in (AlgebraicNumber(one, (Fraction(1, 2), Fraction(3, 2))),
+                AlgebraicNumber(one, (Fraction(1), Fraction(2))),
+                AlgebraicNumber(IntPolynomial(_mul((-1, 1), (-1, -1, 1))), (Fraction(1), Fraction(3, 2))),
+                AlgebraicNumber(inverse_golden, (Fraction(1, 2), Fraction(1))),
+                AlgebraicNumber(inverse_golden, (Fraction(1, 2), Fraction(3, 2)))):
+        with pytest.raises(NegBetaError, match="base must exceed 1"):
+            BetaValue.from_algebraic(num)
+
+
+def test_a_float_base_is_a_type_error():
+    for value in (1.5, 1.1, 0.5):
+        with pytest.raises(TypeError, match="float"):
+            BetaValue.from_rational(value)
+        with pytest.raises(TypeError, match="float"):
+            BetaValue.of(value)
+    assert BetaValue.from_rational(Fraction(3, 2)).rational == Fraction(3, 2)
+    with pytest.raises(NegBetaError, match="base must exceed 1"):
+        BetaValue.from_rational(1)
+
+
 _INVARIANT_PATHS = """
 import dataclasses
 from fractions import Fraction

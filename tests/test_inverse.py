@@ -69,6 +69,19 @@ def test_construct_rejects_non_expansions():
         construct_pi(word("(10)"))
 
 
+def test_construct_state_compares_no_base_with_one(monkeypatch):
+    # b_of proves the base exceeds 1 while isolating it, so validating the
+    # expansion takes it as a base without refining it against 1
+    from negbeta.algebraic import AlgebraicNumber
+
+    compares = []
+    real = AlgebraicNumber.compare
+    monkeypatch.setattr(AlgebraicNumber, "compare", lambda n, o: compares.append(o) or real(n, o))
+    for literal in ("21(0)", "(21)", "(3113)", "2(0)"):
+        assert construct_state(word(literal)).result
+    assert compares == []
+
+
 def test_proof_stage_identities_on_small_corpus():
     from negbeta.permutations import landmarks
 

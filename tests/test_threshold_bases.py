@@ -38,7 +38,7 @@ from negbeta.words import (
     sup_of_shifts,
 )
 
-MODULUS = (1 << 61) - 1
+MODULUS = algebraic._MODULUS
 
 
 # --- oracles -------------------------------------------------------------------

@@ -56,6 +56,16 @@ def test_padded_form_examples():
     assert word("21(0)").padded_form() == (3, 1, (2, 1, 0, 0))
 
 
+@given(st.lists(st.integers(0, 12), max_size=6), st.lists(st.integers(0, 12), max_size=6))
+def test_library_constructor_matches_canonicalize(pre, per):
+    if not per:
+        for build in (W._canonical, canonicalize):
+            with pytest.raises(MalformedWordError):
+                build(tuple(pre), ())
+        return
+    assert W._canonical(tuple(pre), tuple(per)) == canonicalize(pre, per)
+
+
 def test_raw_constructor_rejects_non_canonical():
     with pytest.raises(MalformedWordError):
         W.EventuallyPeriodicWord((1,), (0, 0))
