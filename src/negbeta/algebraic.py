@@ -445,7 +445,15 @@ def char_polynomial(w: EventuallyPeriodicWord) -> IntPolynomial:
 
 # --- algebraic numbers -------------------------------------------------------
 
-# The width every exact comparison refines to: ``_equals_rational`` matches
+def as_rational(value) -> Fraction:
+    """value as a Fraction.  A float is a TypeError: its binary value is
+    rarely the rational meant, and no answer may depend on one."""
+    if isinstance(value, float):
+        raise TypeError(f"a rational must be an int or a Fraction, not the float {value!r}")
+    return Fraction(value)
+
+
+# The width every exact equality refines to: ``_side`` on a hit matches
 # ``equals``, and ``spectrum`` refines each root to it up front, so an interval
 # ends up the same whichever way its number was compared.  A rational is a
 # point interval, which no refinement changes.
@@ -473,9 +481,7 @@ class AlgebraicNumber:
 
     @classmethod
     def from_rational(cls, value: Fraction) -> "AlgebraicNumber":
-        if isinstance(value, float):
-            raise TypeError(f"a rational must be an int or a Fraction, not the float {value!r}")
-        value = Fraction(value)
+        value = as_rational(value)
         poly = IntPolynomial((-value.numerator, value.denominator)).sign_normalized()
         return cls(poly, (value, value))
 
@@ -525,26 +531,31 @@ class AlgebraicNumber:
             self._unique = _unit_variations(_on_unit(self._sf, L, H, den)) == 1
         return self._unique
 
+    def _side(self, r) -> int:
+        """Sign of self - r for a rational r, exact.  Outside the interval its
+        ends decide; inside, the one root of the squarefree part there lies
+        above r when the part has the same sign at r as at lo.  A zero sign
+        means r is the number, then refined to _COMPARE_WIDTH as equals does."""
+        lo, hi = self.interval
+        if r < lo or r > hi:
+            return 1 if r < lo else -1
+        s = _sign_at(self._sf, r)
+        if s == 0:
+            self.refine(_COMPARE_WIDTH)
+            return 0
+        return 1 if s == _sign_at(self._sf, lo) else -1
+
     def floor(self) -> int:
-        """Exact floor; terminates because irrational roots never sit on an
-        integer and a rational root is a point interval."""
+        """Exact floor: after refining to width 1/4 at most one integer
+        n + 1 lies in the interval, and one side test places the number."""
         lo, hi = self.refine(Fraction(1, 4))
-        while lo.__floor__() != hi.__floor__():
-            n = hi.__floor__()
-            s_n = _sign_at(self._sf, Fraction(n))
-            if s_n == 0:
-                raise InvariantError("irrational root equal to an integer")
-            if s_n == _sign_at(self._sf, lo):
-                lo = Fraction(n)
-            else:
-                hi = Fraction(n)
-            mid = (lo + hi) / 2
-            if _sign_at(self._sf, mid) == _sign_at(self._sf, lo):
-                lo = mid
-            else:
-                hi = mid
-            self.interval = (lo, hi)
-        return lo.__floor__()
+        n = lo.__floor__()
+        if hi < n + 1:
+            return n
+        side = self._side(n + 1)
+        if side == 0:
+            raise InvariantError("root equal to an integer inside a non-point interval")
+        return n if side < 0 else n + 1
 
     def __float__(self):
         lo, hi = self.refine(Fraction(1, 10**17))
@@ -560,14 +571,11 @@ class AlgebraicNumber:
             n, d = x.numerator, x.denominator
             return (2 * n * scale + d) // (2 * d)
 
-        tol = Fraction(1, 10 * scale)
-        lo, hi = self.refine(tol)
-        while half_up(lo) != half_up(hi):
-            # an irrational root never sits exactly on the rounding grid,
-            # so the interval eventually clears the boundary
-            tol /= 2**8
-            lo, hi = self.refine(tol)
-        n = half_up(lo)
+        # a width of 1 / (10 scale) reaches at most one rounding boundary
+        lo, hi = self.refine(Fraction(1, 10 * scale))
+        n = half_up(hi)
+        if half_up(lo) != n and self._side(Fraction(2 * n - 1, 2 * scale)) < 0:
+            n -= 1
         sign = "-" if n < 0 else ""
         n = abs(n)
         if not places:
@@ -575,27 +583,26 @@ class AlgebraicNumber:
         return f"{sign}{n // scale}.{n % scale:0{places}d}"
 
     def compare(self, other) -> int:
+        if isinstance(other, (int, Fraction)):
+            return self._side(other)
         if self.equals(other):
             return 0
-        rational = isinstance(other, (int, Fraction))
         lo1, hi1 = self.interval
-        lo2, hi2 = (other, other) if rational else other.interval
+        lo2, hi2 = other.interval
         tol = Fraction(1, 2)
         while not (hi1 < lo2 or hi2 < lo1):
             tol /= 2**8
             lo1, hi1 = self.refine(tol)
-            if not rational:
-                lo2, hi2 = other.refine(tol)
+            lo2, hi2 = other.refine(tol)
         return -1 if hi1 < lo2 else 1
 
     def equals(self, other) -> bool:
         """Exact equality: the gcd of the defining polynomials must have a
         root in the overlap of the isolating intervals.  Disjoint current
         intervals already prove the numbers differ, with no gcd and no
-        refinement.  A plain rational needs no gcd: it is the root exactly
-        when it lies in the interval and the squarefree part vanishes there."""
+        refinement.  A plain rational needs no gcd: one side test decides."""
         if isinstance(other, (int, Fraction)):
-            return self._equals_rational(Fraction(other))
+            return self._side(other) == 0
         if not isinstance(other, AlgebraicNumber):
             raise TypeError(f"cannot compare an AlgebraicNumber with {type(other).__name__}")
         if self.interval[1] < other.interval[0] or other.interval[1] < self.interval[0]:
@@ -607,13 +614,6 @@ class AlgebraicNumber:
         lo2, hi2 = other.refine(_COMPARE_WIDTH)
         lo, hi = max(lo1, lo2), min(hi1, hi2)
         return lo <= hi and _has_root(g, lo, hi)
-
-    def _equals_rational(self, r: Fraction) -> bool:
-        lo, hi = self.interval
-        if not lo <= r <= hi or _sign_at(self._sf, r) != 0:
-            return False
-        lo, hi = self.refine(_COMPARE_WIDTH)
-        return lo <= r <= hi
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicNumber)):

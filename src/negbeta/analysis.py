@@ -20,6 +20,7 @@ from .algebraic import (
     AlgebraicNumber,
     IntPolynomial,
     _poly_gcd,
+    as_rational,
     b_of,
     shift_root,
 )
@@ -545,7 +546,7 @@ def witness_word(pi, beta_margin=Fraction(1, 20)) -> EventuallyPeriodicWord:
     the bounded search with admissibility tracked.
     """
     pi = perm(pi)
-    margin = Fraction(beta_margin)
+    margin = as_rational(beta_margin)
     if margin <= 0:
         raise NegBetaError("margin must be positive")
     return _witness_above(analyze(pi), margin, DEFAULT_PRECISION)
@@ -642,7 +643,7 @@ def sandwich_check(pi, margin=Fraction(1, 20),
     the threshold itself (within the searched class).  A witness search
     that runs out raises SearchInconclusiveError: it refutes nothing."""
     pi = perm(pi)
-    margin = Fraction(margin)
+    margin = as_rational(margin)
     report = analyze(pi)
     if report.b_minus == 1:
         raise NegBetaError("sandwich check applies to thresholds above 1")
@@ -651,7 +652,7 @@ def sandwich_check(pi, margin=Fraction(1, 20),
     b = report.b_minus
     witness = _witness_above(report, margin, precision)
     below = None
-    if b.refine(_COMPARE_WIDTH)[0] - margin > 1:
+    if b.compare(1 + margin) > 0:
         below = realizable_at(pi, _beta_plus(b, -margin), precision)
     at = realizable_at(pi, b, precision)
     return SandwichReport(

@@ -182,7 +182,7 @@ def _cmd_realize(args, precision) -> Rendered:
 def _cmd_verify(args, precision) -> Rendered:
     pi = parse_permutation(args.perm)
     try:
-        margin = Fraction(args.margin).limit_denominator(10**9)
+        margin = Fraction(args.margin)
     except (ValueError, ZeroDivisionError):
         raise NegBetaError(f"bad margin {args.margin!r}; want a rational such as 1/20") from None
     report = analysis.sandwich_check(pi, margin, precision=precision)

@@ -26,6 +26,7 @@ from .algebraic import (
     _poly_gcd,
     _roots_not_integral,
     _strip,
+    as_rational,
     b_of,
 )
 from .errors import (
@@ -82,8 +83,7 @@ class BetaValue:
     def from_algebraic(cls, num: AlgebraicNumber) -> "BetaValue":
         if num.is_rational():
             return cls.from_rational(num.exact)
-        # a number other than 1 whose interval starts at 1 or above exceeds 1
-        if (num.interval[0] < 1 or num.equals(1)) and num.compare(1) <= 0:
+        if num.compare(1) <= 0:
             raise NegBetaError("base must exceed 1")
         return cls(num)
 
@@ -148,7 +148,6 @@ class _AlgebraicArith:
         return ((1,), 1)
 
     def from_rational(self, x: Fraction):
-        x = Fraction(x)
         return ((x.numerator,), x.denominator)
 
     def _mul_beta(self, x):
@@ -248,23 +247,23 @@ class _AlgebraicArith:
         return self.sign(self._sub(x, y))
 
     def _certified_floor(self, x) -> tuple[int, tuple[int, int, int] | None]:
-        """Floor d of x, and the bounds that decided it when they already
-        prove x != d (their lower end lies strictly above d), else None."""
+        """Floor d of x, and the bounds that decided it, or None exactly
+        when x is the integer d."""
         for tol in self._tolerances:
             lo, hi, den = self._bounds(x, tol)
             flo, fhi = lo // den, hi // den
-            if flo == fhi:
-                return flo, (lo, hi, den) if lo > flo * den else None
-            # x might be exactly the integer fhi
-            if fhi - flo == 1 and self.is_zero(self._minus_int(x, fhi)):
+            # x might be exactly the integer fhi when the bounds reach it
+            if lo <= fhi * den and fhi - flo <= 1 and self.is_zero(self._minus_int(x, fhi)):
                 return fhi, None
+            if flo == fhi:
+                return flo, (lo, hi, den)
         raise UndecidableAtPrecisionError(
             "floor undecided at max precision", straddled=fhi)
 
     def step(self, x):
         v = self._mul_beta(x)
         d, bounds = self._certified_floor(v)
-        if bounds is None and self.is_zero(self._minus_int(v, d)):
+        if bounds is None:
             # beta*x is exactly the integer d, so the image is exactly 1
             return d, self.one()
         nums, den = self._minus_int(v, d + 1)
@@ -272,10 +271,9 @@ class _AlgebraicArith:
         while nxt and nxt[-1] == 0:
             nxt.pop()
         image = (tuple(nxt), den)
-        if bounds is not None:
-            # termwise, the bounds of d + 1 - v are d + 1 minus those of v
-            lo, hi, D = bounds
-            self._image = (image, self._interval, ((d + 1) * D - hi, (d + 1) * D - lo, D))
+        # termwise, the bounds of d + 1 - v are d + 1 minus those of v
+        lo, hi, D = bounds
+        self._image = (image, self._interval, ((d + 1) * D - hi, (d + 1) * D - lo, D))
         return d, image
 
     def key(self, x):
@@ -300,7 +298,7 @@ def _arith_for(beta: BetaValue, precision: PrecisionConfig):
 def _start(beta: BetaValue, x, precision: PrecisionConfig):
     """The orbit arithmetic of beta and the exact point x, which must lie in (0,1]."""
     arith = _arith_for(beta, precision)
-    x = Fraction(x)
+    x = as_rational(x)
     if not 0 < x <= 1:
         raise NegBetaError(f"start point must lie in (0,1], got {x}")
     return arith, arith.from_rational(x)
@@ -336,7 +334,7 @@ class ExpansionState:
 
 
 def initial_state(beta, x=1, precision: PrecisionConfig = DEFAULT_PRECISION) -> ExpansionState:
-    x = Fraction(x)
+    x = as_rational(x)
     arith, pt = _start(BetaValue.of(beta), x, precision)
     return ExpansionState(current=(x, x), digits_so_far=(), precision_budget=precision,
                           point=pt, arith=arith)

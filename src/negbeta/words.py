@@ -413,16 +413,14 @@ def periodization(v) -> EventuallyPeriodicWord:
 def words_over(alphabet_size: int, pre_max: int, per_max: int):
     """All canonical words with digits < alphabet_size within the size bounds.
 
-    Yields each underlying sequence exactly once.
+    Yields each underlying sequence exactly once, as its canonical pair: a
+    primitive period, and a preperiod that does not end with the period's
+    last digit.
     """
     digits = range(alphabet_size)
-    seen = set()
     for q in range(pre_max + 1):
         for p in range(1, per_max + 1):
             for pre in itertools.product(digits, repeat=q):
                 for per in itertools.product(digits, repeat=p):
-                    w = canonicalize(pre, per)
-                    key = (w.pre, w.per)
-                    if key not in seen:
-                        seen.add(key)
-                        yield w
+                    if (not pre or pre[-1] != per[-1]) and primitive_root(per)[1] == 1:
+                        yield EventuallyPeriodicWord(pre, per)

@@ -472,6 +472,138 @@ def test_floor_of_algebraic():
     assert AlgebraicNumber.from_rational(Fraction(7, 3)).floor() == 2
 
 
+# --- one exact side test against a rational -------------------------------------
+
+def _floor_by_bisection(num: AlgebraicNumber) -> int:
+    """floor as it was read before the side test, on a twin of num."""
+    twin = AlgebraicNumber(num.polynomial, num.interval, _sf=num._sf)
+    sf = twin._sf
+    lo, hi = twin.refine(Fraction(1, 4))
+    while lo.__floor__() != hi.__floor__():
+        n = hi.__floor__()
+        s_n = _sign_at(sf, Fraction(n))
+        if s_n == 0:
+            raise InvariantError("irrational root equal to an integer")
+        if s_n == _sign_at(sf, lo):
+            lo = Fraction(n)
+        else:
+            hi = Fraction(n)
+        mid = (lo + hi) / 2
+        if _sign_at(sf, mid) == _sign_at(sf, lo):
+            lo = mid
+        else:
+            hi = mid
+    return lo.__floor__()
+
+
+def _side_by_refining(num: AlgebraicNumber, r: Fraction) -> int:
+    """The sign of num - r as compare found it before the side test: equal
+    when the polynomial vanishes at r inside the interval, otherwise refine
+    a twin until r falls outside."""
+    lo, hi = num.interval
+    if lo <= r <= hi and num.polynomial(r) == 0:
+        return 0
+    twin, tol = AlgebraicNumber(num.polynomial, num.interval, _sf=num._sf), Fraction(1, 2)
+    while lo <= r <= hi:
+        tol /= 2**8
+        lo, hi = twin.refine(tol)
+    return 1 if r < lo else -1
+
+
+def _raising(f):
+    try:
+        return f()
+    except InvariantError:
+        return InvariantError
+
+
+def _check_rational_questions(num: AlgebraicNumber, rationals, exact: Fraction | None = None):
+    # each oracle reads the interval before the question under test refines it
+    floor = _raising(lambda: _floor_by_bisection(num))
+    assert _raising(num.floor) == floor
+    for places in range(13):
+        # a rational root on a wide interval is read off its value: refining
+        # never clears a rounding boundary it sits on
+        rounded = _half_up_by_fractions(
+            AlgebraicNumber.from_rational(exact) if exact is not None else num, places)
+        assert num.decimal(places) == rounded
+    for r in rationals:
+        side = _side_by_refining(num, r)
+        assert num.compare(r) == side
+        assert (num == r) == (side == 0) and (num < r) == (side < 0)
+
+
+def _near(num: AlgebraicNumber) -> list[Fraction]:
+    """The interval's ends, its grid points and the integers around it."""
+    lo, hi = num.interval
+    grid = [lo + k * (hi - lo) / 8 for k in range(9)]
+    return grid + [Fraction(n) for n in range(lo.__floor__() - 1, hi.__floor__() + 2)]
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_rational_questions_agree_with_refinement_on_random_roots(coeffs):
+    poly = IntPolynomial(tuple(coeffs))
+    assume(poly.degree >= 1)
+    bound = root_upper_bound(poly)
+    for root in isolate_real_roots(poly, -bound, bound):
+        _check_rational_questions(root, _near(root), root.exact)
+
+
+_PARTS = st.sampled_from([Fraction(k, 7) for k in range(1, 7)] + [Fraction(1, 2)])
+
+
+@given(st.integers(-12, 12), st.integers(1, 6), st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+       _PARTS, _PARTS)
+@settings(max_examples=100, deadline=None)
+@example(2, 1, [1], Fraction(1, 2), Fraction(1, 7))  # the integer 2 inside (3/2, 15/7)
+@example(3, 2, [-3, 0, 1], Fraction(1, 2), Fraction(1, 2))
+def test_rational_questions_on_a_rational_root_of_a_wide_interval(p, q, other, below, above):
+    # (q x - p) times another factor; the root p/q on an interval that is
+    # not a point but holds no other root
+    poly = IntPolynomial(_mul((-p, q), tuple(other)))
+    assume(poly.degree >= 1)
+    bound = root_upper_bound(poly)
+    roots = isolate_real_roots(poly, -bound - 1, bound)
+    r = Fraction(p, q)
+    i = next(i for i, root in enumerate(roots) if root.exact == r)
+    lo = r - (r - roots[i - 1].interval[1] if i else 1) * below
+    hi = r + (roots[i + 1].interval[0] - r if i + 1 < len(roots) else 1) * above
+    num = AlgebraicNumber(poly, (lo, hi))
+    _check_rational_questions(num, [r, *_near(num)], r)
+
+
+def _count_refines(monkeypatch) -> list:
+    calls = []
+    real = AlgebraicNumber.refine
+    monkeypatch.setattr(AlgebraicNumber, "refine", lambda self, *a: calls.append(a) or real(self, *a))
+    return calls
+
+
+def test_compare_with_a_rational_beside_the_root_refines_nothing(monkeypatch):
+    golden = largest_root_gt1(poly_from_descending(1, -1, -1))
+    before = golden.interval
+    lo, hi = before
+    calls = _count_refines(monkeypatch)
+    # outside the interval, on its ends and grid, and a convergent within 2^-26 of the root
+    for r in (Fraction(-3), Fraction(1), Fraction(2), lo, hi, (lo + hi) / 2, lo + (hi - lo) / 8,
+              Fraction(10946, 6765), Fraction(17711, 10946)):
+        below = r < 0 or r * r - r - 1 < 0
+        assert golden.compare(r) == (1 if below else -1)
+    assert calls == [] and golden.interval == before
+
+
+def test_floor_refines_once(monkeypatch):
+    roots = [largest_root_gt1(poly_from_descending(1, -1, -1)),
+             b_of(word("211(210)")),
+             # sqrt(3.9) and sqrt(4.1): after refining, the intervals reach 2
+             AlgebraicNumber(IntPolynomial((-39, 0, 10)), (Fraction(1), Fraction(2))),
+             AlgebraicNumber(IntPolynomial((-41, 0, 10)), (Fraction(4, 3), Fraction(7, 3)))]
+    calls = _count_refines(monkeypatch)
+    assert [num.floor() for num in roots] == [1, 2, 1, 2]
+    assert len(calls) == len(roots)
+
+
 def test_shift_root():
     g = largest_root_gt1(poly_from_descending(1, -1, -1))
     up = shift_root(g, Fraction(1, 20))

@@ -541,6 +541,33 @@ def test_sandwich_representative(monkeypatch):
     assert rep.found_below is None and rep.found_at is None
 
 
+def test_sandwich_decides_exactly_whether_the_base_below_exceeds_one(monkeypatch):
+    bases = []
+    monkeypatch.setattr(analysis, "realizable_at",
+                        lambda pi, beta, precision=None: bases.append(beta))
+    fib = [0, 1]
+    while len(fib) < 103:
+        fib.append(fib[-1] + fib[-2])
+    # B-(1423) is the golden ratio phi.  The convergents F(100)/F(101) and
+    # F(101)/F(102) of phi - 1 lie below and above it, within 2^-138: closer
+    # than any interval of phi that the sandwich refines
+    assert sandwich_check("1423", Fraction(fib[100], fib[101])).found_below is None
+    assert len(bases) == 2  # phi - margin exceeds 1: searched below, then at phi
+    bases.clear()
+    sandwich_check("1423", Fraction(fib[101], fib[102]))
+    assert len(bases) == 1  # searched at phi only
+
+
+@pytest.mark.parametrize("call", [lambda: sandwich_check("312", 0.05),
+                                  lambda: witness_word("312", 0.05),
+                                  lambda: pat_of_orbit(2, 0.4, 3)],
+                         ids=["sandwich_check", "witness_word", "pat_of_orbit"])
+def test_a_float_margin_or_start_point_is_a_type_error(call):
+    # the float's binary value is not the rational meant
+    with pytest.raises(TypeError, match="float"):
+        call()
+
+
 def test_sandwich_oracles_search_periods_only_at_possible_algebraic_integers(monkeypatch):
     steps = collections.Counter()
     real_step = dynamics._AlgebraicArith.step

@@ -310,6 +310,19 @@ def test_verify_whose_witness_search_runs_out_is_inconclusive():
                                 "searched the seeded candidates, then preperiod and period up to 8")
 
 
+def test_verify_runs_at_the_margin_given(capsys):
+    # a margin below 10^-9 is not rounded to 0, so the witness search runs
+    # and runs out
+    assert run(["verify", "312", "--margin", "1/2000000000", "--format", "json"]) == 4
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["reason"] == "search-inconclusive"
+    assert error["message"].startswith("no admissible witness for 312 at margin 1/2000000000 ")
+    # nor is a long decimal rounded to a nearby fraction
+    assert run(["verify", "312", "--margin", "0.1234567890123", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["margin"] == "1234567890123/10000000000000" and results["passed"] is True
+
+
 _PERMS = st.integers(1, 6).flatmap(
     lambda n: st.permutations(range(1, n + 1))).map(lambda p: "".join(map(str, p)))
 _JUNK = st.text("0123456789,()-/:xpoly ", max_size=8)

@@ -636,15 +636,23 @@ def test_two_arithmetics_on_one_config_share_its_tolerances():
 # --- bases: what BetaValue accepts ----------------------------------------------------
 
 def test_from_algebraic_accepts_a_root_whose_interval_starts_at_one(monkeypatch):
-    compares = []
-    real = AlgebraicNumber.compare
-    monkeypatch.setattr(AlgebraicNumber, "compare", lambda n, o: compares.append(o) or real(n, o))
+    # the comparison with 1 is one exact sign, so it refines nothing
+    compares, refines = [], []
+    real_compare, real_refine = AlgebraicNumber.compare, AlgebraicNumber.refine
+
+    def compare(n, o):
+        compares.append(o)
+        return real_compare(n, o)
+
+    monkeypatch.setattr(AlgebraicNumber, "compare", compare)
+    monkeypatch.setattr(AlgebraicNumber, "refine", lambda n, *a: refines.append(a) or real_refine(n, *a))
     golden = AlgebraicNumber(GOLDEN, (Fraction(1), Fraction(2)))
     assert BetaValue.from_algebraic(golden).algebraic is golden
-    assert compares == [] and golden.interval == (Fraction(1), Fraction(2))
-    # an interval reaching below 1 still needs the comparison
+    assert refines == [] and golden.interval == (Fraction(1), Fraction(2))
+    # nor does an interval reaching below 1
     low = AlgebraicNumber(GOLDEN, (Fraction(1, 2), Fraction(2)))
-    assert BetaValue.from_algebraic(low).algebraic is low and compares == [1]
+    assert BetaValue.from_algebraic(low).algebraic is low
+    assert compares == [1, 1] and refines == [] and low.interval == (Fraction(1, 2), Fraction(2))
 
 
 def test_from_algebraic_rejects_one_and_numbers_below_it():
@@ -668,6 +676,17 @@ def test_a_float_base_is_a_type_error():
     assert BetaValue.from_rational(Fraction(3, 2)).rational == Fraction(3, 2)
     with pytest.raises(NegBetaError, match="base must exceed 1"):
         BetaValue.from_rational(1)
+
+
+@pytest.mark.parametrize("call", [lambda: initial_state(2, 0.4),
+                                  lambda: expansion_digits(2, 0.4, 5),
+                                  lambda: orbit_points(2, 0.4, 3),
+                                  lambda: dynamics.DigitStream(2, 0.4)],
+                         ids=["initial_state", "expansion_digits", "orbit_points", "DigitStream"])
+def test_a_float_start_point_is_a_type_error(call):
+    with pytest.raises(TypeError, match="float"):
+        call()
+    assert expansion_digits(2, Fraction(2, 5), 3) == (0, 0, 1)
 
 
 _INVARIANT_PATHS = """

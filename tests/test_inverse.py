@@ -70,16 +70,30 @@ def test_construct_rejects_non_expansions():
 
 
 def test_construct_state_compares_no_base_with_one(monkeypatch):
-    # b_of proves the base exceeds 1 while isolating it, so validating the
-    # expansion takes it as a base without refining it against 1
+    # validating the expansion compares each base with 1 by one exact sign,
+    # so no comparison refines the base
     from negbeta.algebraic import AlgebraicNumber
 
-    compares = []
-    real = AlgebraicNumber.compare
-    monkeypatch.setattr(AlgebraicNumber, "compare", lambda n, o: compares.append(o) or real(n, o))
+    inside, refines = [], []
+    real_compare, real_refine = AlgebraicNumber.compare, AlgebraicNumber.refine
+
+    def compare(n, o):
+        inside.append(o)
+        try:
+            return real_compare(n, o)
+        finally:
+            inside.pop()
+
+    def refine(n, *args):
+        if inside:
+            refines.append((inside[-1], args))
+        return real_refine(n, *args)
+
+    monkeypatch.setattr(AlgebraicNumber, "compare", compare)
+    monkeypatch.setattr(AlgebraicNumber, "refine", refine)
     for literal in ("21(0)", "(21)", "(3113)", "2(0)"):
         assert construct_state(word(literal)).result
-    assert compares == []
+    assert refines == []
 
 
 def test_proof_stage_identities_on_small_corpus():

@@ -1,5 +1,6 @@
 """The checked-in scripts reproduce the worked examples with pinned output."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -105,3 +106,14 @@ def test_worked_examples_script_output_pinned():
 
 def test_threshold_table_script_output_pinned():
     assert run_script("reproduce_threshold_table.py") == TABLE_EXPECTED
+
+
+def test_cli_equivalence_script_prints_one_timeless_json_line_per_run():
+    runs = [json.loads(line) for line in run_script("cli_equivalence.py").splitlines()]
+    assert runs and all(set(r) == {"argv", "exit", "stdout", "stderr"} for r in runs)
+    assert {r["argv"][0] for r in runs} == {"analyze", "spectrum", "count-b1", "extremal", "invert",
+                                            "expansion", "member", "pat", "realize", "verify"}
+    assert {r["argv"][-1] for r in runs} == {"json", "text", "csv"}
+    envelopes = [r[stream] for r in runs for stream in ("stdout", "stderr")
+                 if isinstance(r[stream], dict)]
+    assert envelopes and not any("timing_ms" in e for e in envelopes)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from negbeta.words import (
     sup_of_shifts,
     u_prefix,
     word,
+    words_over,
 )
 
 
@@ -351,3 +354,24 @@ def test_parse_rejects_garbage():
 @given(canonical_words())
 def test_format_parse_bijection(w):
     assert parse_word(format_word(w)) == w
+
+
+def _words_over_by_dedup(alphabet_size, pre_max, per_max):
+    """Every pair within the bounds canonicalized, each sequence kept where it first occurs."""
+    seen = set()
+    for q in range(pre_max + 1):
+        for p in range(1, per_max + 1):
+            for pre in itertools.product(range(alphabet_size), repeat=q):
+                for per in itertools.product(range(alphabet_size), repeat=p):
+                    w = canonicalize(pre, per)
+                    if (w.pre, w.per) not in seen:
+                        seen.add((w.pre, w.per))
+                        yield w
+
+
+@pytest.mark.parametrize("alphabet_size,pre_max,per_max",
+                         [(0, 2, 2), (1, 3, 4), (2, 3, 4), (3, 0, 4), (3, 3, 3), (4, 2, 4)])
+def test_words_over_yields_each_sequence_once_in_first_occurrence_order(alphabet_size, pre_max,
+                                                                        per_max):
+    assert list(words_over(alphabet_size, pre_max, per_max)) == \
+        list(_words_over_by_dedup(alphabet_size, pre_max, per_max))
