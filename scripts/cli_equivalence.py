@@ -54,6 +54,10 @@ CORPUS = [
     ["invert", "211(210)"],
     ["invert", "1(0)"],
     ["invert", "(100)"],
+    ["invert", "(10)"],
+    ["invert", "2(10)"],
+    ["invert", "(12)"],
+    ["invert", "(1)"],
     ["expansion", "--beta", "poly:-2,1,0,-1,0,-2,1:1"],
     ["expansion", "--beta", "21/10", "--digits", "400"],
     ["expansion", "--beta", "3/2", "--digits", "300", "--no-period"],

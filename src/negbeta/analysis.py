@@ -188,9 +188,11 @@ def analyze(pi) -> AnalysisReport:
     pi = perm(pi)
     if pi.n < 2:
         raise NegBetaError("analysis needs n >= 2; length-1 patterns carry no order content")
-    sk = skeleton(pi)
+    # a permutation from inverse.construct_state carries its skeleton and base
+    sk, b = getattr(pi, "_round_trip", None) or (skeleton(pi), None)
     a = sk.a
-    b = b_of(a)
+    if b is None:
+        b = b_of(a)
     if sk.n_minus != b.floor() + 1:
         raise InvariantError(f"alphabet formula disagrees with floor for {pi}")
     one = b == 1

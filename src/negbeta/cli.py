@@ -121,7 +121,7 @@ def _cmd_extremal(args, precision) -> Rendered:
 
 def _cmd_invert(args, precision) -> Rendered:
     w = parse_word(args.word)
-    state = inverse.construct_state(w)
+    state = inverse.construct_state(w, precision=precision)
     report = analysis.analyze(state.result)
     results = state.to_json()
     results["verified"] = True

@@ -563,13 +563,13 @@ class MembershipOracle:
         return True
 
 
-def validate_expansion(w: EventuallyPeriodicWord,
-                       precision: PrecisionConfig = DEFAULT_PRECISION) -> bool:
-    """Is w literally the expansion of 1 in its own base b(w)?
+def expansion_base(w: EventuallyPeriodicWord,
+                   precision: PrecisionConfig = DEFAULT_PRECISION) -> AlgebraicNumber | None:
+    """b(w) when w is literally the expansion of 1 in its own base, else None.
 
     Certified round trip: iterate the transformation at b(w) for preperiod
     plus period steps, require every digit to match and the orbit to close up
-    exactly.
+    exactly.  An irrational base comes back as refined by the walk.
     """
     b = b_of(w)
     if b == 1:
@@ -580,9 +580,17 @@ def validate_expansion(w: EventuallyPeriodicWord,
     pts = [arith.one()]
     for k, (d, nxt) in enumerate(itertools.islice(_walk(arith, pts[0]), q + p), start=1):
         if d != w.digit(k):
-            return False
+            return None
         pts.append(nxt)
-    return arith.equal(pts[q + p], pts[q])
+    return b if arith.equal(pts[q + p], pts[q]) else None
+
+
+def validate_expansion(w: EventuallyPeriodicWord,
+                       precision: PrecisionConfig = DEFAULT_PRECISION) -> bool:
+    """Is w literally the expansion of 1 in its own base b(w)?  The yes-or-no
+    form of ``expansion_base``, which isolates b(w) with ``b_of`` and returns
+    it; raises what that raises."""
+    return expansion_base(w, precision) is not None
 
 
 # --- order-reversing conjugacy with the original negative-base map ----------

@@ -17,9 +17,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import words
-from .dynamics import validate_expansion
+from .dynamics import DEFAULT_PRECISION, PrecisionConfig, expansion_base
 from .errors import ConstructionFailedError, DegenerateExpansionError, NegBetaError
-from .permutations import Permutation, a_sequence, rank_positions
+from .permutations import Permutation, rank_positions, skeleton
 from .words import EventuallyPeriodicWord
 
 CANDIDATE_CAP = 50000
@@ -169,13 +169,20 @@ def _assemble(rho: Permutation, y: tuple[int, ...]) -> Permutation:
     return Permutation(tuple(image))
 
 
-def construct_state(w: EventuallyPeriodicWord, check_expansion: bool = True) -> InverseState:
+def construct_state(w: EventuallyPeriodicWord, check_expansion: bool = True,
+                    precision: PrecisionConfig = DEFAULT_PRECISION) -> InverseState:
     """Full inverse construction with the certified round trip.
 
     Candidate insertion vectors are tried in a fixed order and the first one
     whose forward analysis reproduces w exactly wins; the threshold base then
-    agrees at the level of the defining polynomial automatically."""
-    if check_expansion and not validate_expansion(w):
+    agrees at the level of the defining polynomial automatically.
+
+    With check_expansion, ``dynamics.expansion_base`` decides w at the given
+    precision before the search and returns b(w).  The result carries the
+    skeleton of its round trip and that base (None without the check) as
+    ``_round_trip``, so ``analysis.analyze`` of it isolates no root again."""
+    b = None
+    if check_expansion and (b := expansion_base(w, precision)) is None:
         raise NegBetaError(f"{w} is not the expansion of 1 in its own base")
     q, p, _ = w.padded_form()
     rho = rho_of(w)
@@ -186,7 +193,9 @@ def construct_state(w: EventuallyPeriodicWord, check_expansion: bool = True) -> 
         pi = _assemble(rho, y)
         if count < 2:
             first_candidates.append(pi)
-        if a_sequence(pi) == w:
+        sk = skeleton(pi)
+        if sk.a == w:
+            object.__setattr__(pi, "_round_trip", (sk, b))
             return InverseState(w=w, q=q, p=p, rho=rho, y=y, c=sum(y),
                                 result=pi, vacuous_bonus=vacuous)
     raise ConstructionFailedError(

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from negbeta import algebraic, analysis, dynamics, inverse, permutations
 from negbeta.analysis import analyze
 from negbeta.dynamics import validate_expansion
 from negbeta.errors import NegBetaError
 from negbeta.inverse import _display_value, construct_pi, construct_state, rho_of, y_digits
+from negbeta.permutations import Permutation
 from negbeta.words import canonicalize, word, words_over
 
 
@@ -94,6 +96,59 @@ def test_construct_state_compares_no_base_with_one(monkeypatch):
     for literal in ("21(0)", "(21)", "(3113)", "2(0)"):
         assert construct_state(word(literal)).result
     assert refines == []
+
+
+def _outcome(construct, w):
+    try:
+        return construct(w).result.image
+    except NegBetaError as err:
+        return type(err), str(err)
+
+
+def _validate_then_construct(w):
+    # the order before the construction returned its base: validate, then search
+    if not validate_expansion(w):
+        raise NegBetaError(f"{w} is not the expansion of 1 in its own base")
+    return construct_state(w, check_expansion=False)
+
+
+def test_construct_state_keeps_the_outcome_of_validating_first():
+    corpus = [w for w in words_over(4, 4, 5) if w.preperiod_length + w.period_length <= 5]
+    assert len(corpus) == 4732
+    for w in corpus:
+        assert _outcome(construct_state, w) == _outcome(_validate_then_construct, w), str(w)
+
+
+@pytest.mark.parametrize("literal", ["(2)", "21(0)", "(3113)", "211(210)", "3(0)"])
+def test_analyze_reuses_the_base_and_skeleton_of_the_construction(monkeypatch, literal):
+    roots, built = [], []
+    real_b_of, real_skeleton = algebraic.b_of, permutations.skeleton
+
+    def b_of(w):
+        roots.append(w)
+        return real_b_of(w)
+
+    def skeleton(pi):
+        built.append(pi.image)
+        return real_skeleton(pi)
+
+    for module in (dynamics, analysis):
+        monkeypatch.setattr(module, "b_of", b_of)
+    for module in (inverse, analysis):
+        monkeypatch.setattr(module, "skeleton", skeleton)
+    pi = construct_state(word(literal)).result
+    report = analyze(pi)
+    monkeypatch.undo()
+    assert roots == [word(literal)]
+    # every candidate's skeleton is built once, the winner's included
+    assert built.count(pi.image) == 1 and len(built) == len(set(built))
+    plain = Permutation(pi.image)
+    expected = analyze(plain)
+    for field in ("a", "poly", "n_minus", "epsilon", "b1_exponent"):
+        assert getattr(report, field) == getattr(expected, field), field
+    assert report.b_decimal(12) == expected.b_decimal(12)
+    assert report.b_minus.equals(expected.b_minus)
+    assert pi == plain and hash(pi) == hash(plain) and repr(pi) == repr(plain)
 
 
 def test_proof_stage_identities_on_small_corpus():
