@@ -67,6 +67,11 @@ CORPUS = [
     ["expansion", "--beta", "7/3", "--digits", "50", "--no-period", "--precision", "256"],
     ["expansion", "--beta", "poly:-1,-1,1:1", "--precision", "512"],
     ["expansion", "--beta", "poly:-379,-440,400:1", "--digits", "60"],
+    # beta escalates to a 2^-512 interval; start bits below the 64 of the orbit keys
+    ["expansion", "--beta", "poly:-2,1,0,-1,0,-2,1:1", "--digits", "2500"],
+    ["expansion", "--beta", "poly:-2,1,0,-1,0,-2,1:1", "--digits", "300", "--precision", "32"],
+    ["expansion", "--beta", "poly:-2,-2,-2,-2,-1,-1,-1,1:1", "--digits", "300",
+     "--precision", "48"],
     ["expansion", "--beta", "1"],
     ["expansion", "--beta", "poly:-1,-1,1:2"],
     ["member", "1(0)", "--beta", "21/10"],

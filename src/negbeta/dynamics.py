@@ -125,9 +125,12 @@ class _AlgebraicArith:
         self.sf = num._sf
         self.deg = len(self.sf) - 1
         self._tolerances = precision.tolerances()
-        # the interval of num last seen by _bounds, and its integer form (L, H, q)
+        # the interval of num last seen, the most fractional bits b it is known
+        # to meet 2^-b for, and per point degree m the pairs (L^i q^(m-i),
+        # H^i q^(m-i)) of its integer form [L/q, H/q]
         self._interval = None
-        self._ints = None
+        self._bits = -1
+        self._powers = None
         # the last image step returned, the interval its floor was read on and
         # the image's bounds there, which key reuses
         self._image = None
@@ -187,29 +190,45 @@ class _AlgebraicArith:
             xn, yn, xd = [a * yd for a in xn], [b * xd for b in yn], xd * yd
         return tuple(a - b for a, b in itertools.zip_longest(xn, yn, fillvalue=0)), xd
 
-    def _bounds(self, x, tol: Fraction) -> tuple[int, int, int]:
-        """Integers lo, hi and D > 0 with lo/D <= x <= hi/D.
-
-        Termwise min/max of c_i lo^i, c_i hi^i over the isolating interval
-        [lo, hi] = [L/q, H/q] of beta refined to tol, summed as integers over
-        D = den * q^m for x = (sum n_i beta^i) / den of degree m.
-        """
+    def _refine(self, tol: Fraction):
+        """Refine num to tol, unless its interval is the one seen last and
+        tol = 2^-b for b it is known to meet; rebuild the power tables when
+        the interval is new."""
+        d = tol.denominator
+        bits = d.bit_length() - 1 if tol.numerator == 1 and not d & (d - 1) else None
+        if self.num.interval is self._interval and bits is not None and bits <= self._bits:
+            return
         interval = self.num.refine(tol)
         if interval is not self._interval:
             (L, H), q = _over_common_denominator(interval)
-            self._interval, self._ints = interval, (L, H, q)
-        L, H, q = self._ints
+            # row m from row m - 1: every pair times q, then (L^m, H^m)
+            powers = [[(1, 1)]]
+            for _ in range(self.deg - 1):
+                row = powers[-1]
+                lo, hi = row[-1]
+                powers.append([(a * q, b * q) for a, b in row] + [(lo * L, hi * H)])
+            self._interval, self._bits, self._powers = interval, -1, powers
+        if bits is not None and bits > self._bits:
+            self._bits = bits
+
+    def _bounds(self, x, tol: Fraction) -> tuple[int, int, int]:
+        """Integers lo, hi and D > 0 with lo/D <= x <= hi/D.
+
+        Termwise min/max of n_i lo^i, n_i hi^i over the isolating interval
+        [lo, hi] = [L/q, H/q] of beta refined to tol, summed as integers over
+        D = den * q^m for x = (sum n_i beta^i) / den of degree m.
+        """
+        self._refine(tol)
         nums, den = x
+        powers = self._powers[max(len(nums) - 1, 0)]
         acc_lo = acc_hi = 0
-        plo = phi = 1
-        for n in nums:
-            a, b = n * plo, n * phi
+        for n, (pl, ph) in zip(nums, powers):
+            a, b = n * pl, n * ph
             if a > b:
                 a, b = b, a
-            acc_lo, acc_hi = acc_lo * q + a, acc_hi * q + b
-            plo *= L
-            phi *= H
-        return acc_lo, acc_hi, den * q ** max(len(nums) - 1, 0)
+            acc_lo += a
+            acc_hi += b
+        return acc_lo, acc_hi, den * powers[0][0]
 
     def is_zero(self, x) -> bool:
         nums, _ = x
@@ -279,7 +298,9 @@ class _AlgebraicArith:
     def key(self, x):
         """int(mid * 2**48) for the midpoint of the 2^-64 enclosure, exactly."""
         image = self._image
-        if image is not None and image[0] is x and image[1] is self.num.refine(_TOL_64):
+        # reuse the image's bounds when beta's interval, unchanged since, meets 2^-64
+        if (image is not None and image[0] is x and image[1] is self.num.interval
+                and self._bits >= 64):
             lo, hi, den = image[2]
         else:
             lo, hi, den = self._bounds(x, _TOL_64)
@@ -377,9 +398,9 @@ class DigitStream:
         self._buckets: dict[object, list[int]] = {self.arith.key(start): [0]}
 
     def _find_repeat(self, index: int, key) -> int | None:
-        candidates = []
-        for k in (key - 1, key, key + 1):
-            candidates.extend(self._buckets.get(k, []))
+        candidates = [i for k in (key - 1, key, key + 1) for i in self._buckets.get(k, ())]
+        if not candidates:
+            return None
         for i in sorted(set(candidates)):
             if i < index and self.arith.equal(self._points[i], self._points[index]):
                 return i

@@ -195,9 +195,12 @@ def construct_state(w: EventuallyPeriodicWord, check_expansion: bool = True,
             first_candidates.append(pi)
         sk = skeleton(pi)
         if sk.a == w:
-            object.__setattr__(pi, "_round_trip", (sk, b))
+            # an equal copy carries the round trip, so that the skeleton,
+            # which holds pi, leaves no reference cycle through the result
+            result = Permutation(pi.image)
+            object.__setattr__(result, "_round_trip", (sk, b))
             return InverseState(w=w, q=q, p=p, rho=rho, y=y, c=sum(y),
-                                result=pi, vacuous_bonus=vacuous)
+                                result=result, vacuous_bonus=vacuous)
     raise ConstructionFailedError(
         f"round trip failed for {w} under every candidate insertion vector",
         candidates=tuple(first_candidates),

@@ -305,6 +305,7 @@ def test_membership_flips_at_the_threshold_base():
 # coefficient tuples can have the same value.
 GOLDEN_TIMES_SQRT3 = IntPolynomial(_mul((-1, -1, 1), (-3, 0, 1)))
 DEGREE_SIX = "poly:-2,1,0,-1,0,-2,1:1"
+DEGREE_SEVEN = "poly:-2,-2,-2,-2,-1,-1,-1,1:1"
 
 
 def golden_reducible():
@@ -400,6 +401,113 @@ def test_the_key_of_an_image_reuses_the_enclosure_of_its_floor(monkeypatch):
     monkeypatch.setattr(dynamics._AlgebraicArith, "key", checked_key)
     again = expansion_of_one(parse_beta(DEGREE_SIX, DEFAULT_PRECISION), max_digits=200)
     assert again.digits == res.digits
+
+
+def test_the_key_of_an_image_bounded_on_a_wide_interval_refines_beta_first():
+    arith = dynamics._arith_for(parse_beta(DEGREE_SIX, DEFAULT_PRECISION),
+                                dynamics.PrecisionConfig(32, 4096))
+    _, image = arith.step(arith.one())
+    lo, hi = arith.num.interval
+    assert hi - lo > Fraction(1, 2**64)
+    # the floor was read on a 2^-32 interval, so the key is no reused bound
+    got = arith.key(image)
+    lo, hi = arith.num.interval
+    assert hi - lo <= Fraction(1, 2**64)
+    arith._image = None
+    assert arith.key(image) == got
+
+
+def _horner_bounds(self, x, tol):
+    """``_AlgebraicArith._bounds`` before its power tables: Horner in q over
+    beta's interval refined to tol, with L^i and H^i recomputed on every call."""
+    (L, H), q = _over_common_denominator(self.num.refine(tol))
+    nums, den = x
+    acc_lo = acc_hi = 0
+    plo = phi = 1
+    for n in nums:
+        a, b = n * plo, n * phi
+        if a > b:
+            a, b = b, a
+        acc_lo, acc_hi = acc_lo * q + a, acc_hi * q + b
+        plo *= L
+        phi *= H
+    return acc_lo, acc_hi, den * q ** max(len(nums) - 1, 0)
+
+
+# monic, non-monic and rational bases, built afresh for each use since refining
+# mutates them
+POWER_TABLE_BASES = (
+    beta_golden,
+    golden_reducible,
+    lambda: parse_beta(DEGREE_SIX, DEFAULT_PRECISION),
+    lambda: BetaValue.from_algebraic(largest_root_gt1(poly_from_descending(2, -5, 1))),
+    lambda: BetaValue.from_algebraic(shift_root(largest_root_gt1(GOLDEN), Fraction(1, 20))),
+    lambda: BetaValue.from_rational(Fraction(7, 3)),
+    lambda: BetaValue.from_rational(3),
+)
+# dyadic tolerances, which the arithmetic tracks by bits, clustered so that
+# calls often ask for a few bits more than the interval is known to meet, and
+# decimal ones
+TOLERANCES = st.one_of(
+    st.one_of(st.integers(0, 300), st.integers(60, 70), st.integers(124, 132))
+    .map(lambda b: Fraction(1, 2**b)),
+    st.integers(1, 60).map(lambda k: Fraction(1, 10**k)))
+BOUNDS_CALLS = st.one_of(
+    st.tuples(st.just("refine"), TOLERANCES),
+    st.tuples(st.just("bounds"), TOLERANCES,
+              st.lists(st.integers(-2**300, 2**300), max_size=8), st.integers(1, 2**64)))
+
+
+@given(st.integers(0, len(POWER_TABLE_BASES) - 1), st.lists(BOUNDS_CALLS, min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_bounds_from_power_tables_equal_the_horner_oracle(which, calls):
+    arith = dynamics._arith_for(POWER_TABLE_BASES[which](), DEFAULT_PRECISION)
+    for call in calls:
+        if call[0] == "refine":
+            # a refinement from outside leaves the power tables stale
+            arith.num.refine(call[1])
+            continue
+        _, tol, nums, den = call
+        x = (tuple(nums[:arith.deg]), den)
+        got = arith._bounds(x, tol)
+        interval = arith.num.interval
+        assert interval[1] - interval[0] <= tol
+        assert got == _horner_bounds(arith, x, tol)
+        # _bounds left beta's interval at tol, so the oracle refined nothing
+        assert arith.num.interval is interval
+
+
+@pytest.mark.parametrize("digits, precision", [
+    # the default schedule escalates beta to a 2^-512 interval before digit 2500
+    (2500, DEFAULT_PRECISION),
+    # below 64 start bits, the key of the start point refines beta to 2^-64
+    (300, dynamics.PrecisionConfig(32, 4096)),
+])
+def test_power_tables_keep_the_refinement_history(monkeypatch, digits, precision):
+    def expand():
+        res = expansion_of_one(parse_beta(DEGREE_SIX, precision), max_digits=digits,
+                               precision=precision)
+        assert len(res.digits) == digits and not res.is_periodic
+        return res.digits, res.orbit_intervals(32, Fraction(1, 2**128)), res.arith.num.interval
+
+    fast = expand()
+    monkeypatch.setattr(dynamics._AlgebraicArith, "_bounds", _horner_bounds)
+    assert expand() == fast
+    if digits == 2500:
+        lo, hi = fast[2]
+        assert Fraction(1, 2**1024) < hi - lo <= Fraction(1, 2**512)
+
+
+@pytest.mark.parametrize("spec", [DEGREE_SIX, DEGREE_SEVEN])
+def test_an_expansion_refines_beta_once_per_interval(monkeypatch, spec):
+    beta = parse_beta(spec, DEFAULT_PRECISION)
+    calls = []
+    real = AlgebraicNumber.refine
+    monkeypatch.setattr(AlgebraicNumber, "refine", lambda self, *a: calls.append(a) or real(self, *a))
+    res = expansion_of_one(beta, max_digits=1000)
+    assert len(res.digits) == 1000 and not res.is_periodic
+    # refining for each enclosure and each key made 2,002 calls
+    assert len(calls) <= 5
 
 
 # --- the Fraction orbit arithmetic, kept as the reference -------------------------

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -149,6 +151,20 @@ def test_analyze_reuses_the_base_and_skeleton_of_the_construction(monkeypatch, l
     assert report.b_decimal(12) == expected.b_decimal(12)
     assert report.b_minus.equals(expected.b_minus)
     assert pi == plain and hash(pi) == hash(plain) and repr(pi) == repr(plain)
+
+
+def test_the_constructed_permutation_is_freed_by_reference_counting():
+    # the skeleton _round_trip holds must not lead back to the result
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        state = construct_state(word("211(210)"))
+        result = weakref.ref(state.result)
+        del state
+        assert result() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_proof_stage_identities_on_small_corpus():
