@@ -72,6 +72,12 @@ CORPUS = [
     ["expansion", "--beta", "poly:-2,1,0,-1,0,-2,1:1", "--digits", "300", "--precision", "32"],
     ["expansion", "--beta", "poly:-2,-2,-2,-2,-1,-1,-1,1:1", "--digits", "300",
      "--precision", "48"],
+    # long orbits, where the step reads its digit off a carried enclosure
+    ["expansion", "--beta", "3/2", "--digits", "2000", "--no-period"],
+    ["expansion", "--beta", "poly:-2,-2,-2,-2,-1,-1,-1,1:1", "--digits", "2500"],
+    # the threshold base of 24,4,3,12,17,16,18,19,21,9,5,1,23,6,11,7,8,22,10,15,13,2,20,14:
+    # its expansion of 1 repeats only at digit 23
+    ["expansion", "--beta", "poly:-5,-9,-2,4,0,8,7,1,-3,-1,-1,-8,7,-4,-2,4,-7,6,3,4,-1,1,-10,1:1"],
     ["expansion", "--beta", "1"],
     ["expansion", "--beta", "poly:-1,-1,1:2"],
     ["member", "1(0)", "--beta", "21/10"],
@@ -99,6 +105,7 @@ CORPUS = [
     # stopped rounding them
     ["verify", "312", "--margin", "1/2000000000"],
     ["verify", "312", "--margin", "0.1234567890123"],
+    ["verify", "312", "--margin", "100"],
 ]
 
 

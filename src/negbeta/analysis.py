@@ -51,7 +51,7 @@ from .permutations import (
     rank_positions,
     skeleton,
 )
-from .words import EventuallyPeriodicWord, canonicalize, periodization
+from .words import EventuallyPeriodicWord, _canonical, canonicalize, periodization
 
 ENUMERATION_BOUND = 12  # the largest n_max that count_b1 runs in a few seconds
 SPECTRUM_BOUND = 8  # the largest n whose whole S_n spectrum and extremal set are enumerated
@@ -495,7 +495,7 @@ def _search_realizing(pi: Permutation, alphabet_size: int, max_prefix: int, max_
             if depth <= max_period:
                 splits.append(0)  # the purely periodic tail
             for i in splits:
-                w = canonicalize(prefix + tail[:i], tail[i:])
+                w = _canonical(prefix + tail[:i], tail[i:])
                 if w in seen:
                     continue
                 seen.add(w)
@@ -594,11 +594,11 @@ def _seeded_witnesses(report: AnalysisReport, precision: PrecisionConfig):
         if d1 is not None:
             tails.append(d1)
     for zpfx in variant_prefixes:
-        yield canonicalize(zpfx + a.pre, a.per)
+        yield _canonical(zpfx + a.pre, a.per)
         for reps in range(0, 9):
             body = zpfx + a.pre + a.per * reps
             for t in tails:
-                yield canonicalize(body + t.pre, t.per)
+                yield _canonical(body + t.pre, t.per)
 
 
 @dataclass(frozen=True)

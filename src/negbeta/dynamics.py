@@ -12,10 +12,11 @@ point.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from . import words
 from .algebraic import (
@@ -34,7 +35,7 @@ from .errors import (
     NegBetaError,
     UndecidableAtPrecisionError,
 )
-from .words import EventuallyPeriodicWord, canonicalize
+from .words import EventuallyPeriodicWord, _canonical
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,36 @@ DEFAULT_PRECISION = PrecisionConfig()
 _TOL_64 = Fraction(1, 2**64)
 PERIOD_BUDGET = 600  # digits of the expansion of 1 a membership oracle searches for a period
 COMPARE_CAP = 20000  # digits a membership oracle's tail comparison may read
+# Carried enclosures have P = _CARRY_BITS fractional bits, and give keys when
+# at most 2^-_KEY_BITS wide.  The carry waits for _CARRY_AFTER exact steps: the
+# walks of invert end within about 10, before a private copy of beta pays off.
+_CARRY_BITS = 128
+_KEY_BITS = 50
+_CARRY_AFTER = 16
+
+
+def _power_table(interval, deg: int) -> list:
+    """For beta in [L/q, H/q], row m < deg holds (L^i q^(m-i), H^i q^(m-i)):
+    row m - 1 times q, then (L^m, H^m)."""
+    (L, H), q = _over_common_denominator(interval)
+    powers = [[(1, 1)]]
+    for _ in range(deg - 1):
+        row = powers[-1]
+        lo, hi = row[-1]
+        powers.append([(a * q, b * q) for a, b in row] + [(lo * L, hi * H)])
+    return powers
+
+
+def _termwise(nums, row) -> tuple[int, int]:
+    """Termwise min/max sums of n_i times the pairs of a power table row."""
+    acc_lo = acc_hi = 0
+    for n, (pl, ph) in zip(nums, row):
+        a, b = n * pl, n * ph
+        if a > b:
+            a, b = b, a
+        acc_lo += a
+        acc_hi += b
+    return acc_lo, acc_hi
 
 
 @dataclass(frozen=True)
@@ -118,6 +149,10 @@ class _AlgebraicArith:
     polynomial, over one shared positive denominator.  Values (not
     representations) are compared, so a reducible defining polynomial cannot
     corrupt equality decisions.
+
+    On a long orbit a digit is read off a fixed-point enclosure of x carried
+    from step to step, only where the exact step would decide it without
+    refining, so num is refined exactly as without the carry.
     """
 
     def __init__(self, num: AlgebraicNumber, precision: PrecisionConfig = DEFAULT_PRECISION):
@@ -131,9 +166,18 @@ class _AlgebraicArith:
         self._interval = None
         self._bits = -1
         self._powers = None
+        # per table row, s with enclosures below 2^(bitlen(max|n_i|/den) + s - 2P)
+        self._slack = None
         # the last image step returned, the interval its floor was read on and
         # the image's bounds there, which key reuses
         self._image = None
+        # the bits beta's interval must meet for the carry (infinite: off);
+        # (image, interval, a, b) with a/2^P <= image <= b/2^P; and (copy of
+        # num, bits it meets, its power table, bl, bh) with bl/2^P <= beta <= bh/2^P
+        self._exact_steps = 0
+        self._carry_bits = max(precision.start_bits, 64)
+        self._max_bits = precision.max_bits
+        self._carry = self._twin = None
 
     def serves(self, beta) -> bool:
         # beta is a BetaValue, an AlgebraicNumber or a rational.  The enclosures
@@ -200,14 +244,8 @@ class _AlgebraicArith:
             return
         interval = self.num.refine(tol)
         if interval is not self._interval:
-            (L, H), q = _over_common_denominator(interval)
-            # row m from row m - 1: every pair times q, then (L^m, H^m)
-            powers = [[(1, 1)]]
-            for _ in range(self.deg - 1):
-                row = powers[-1]
-                lo, hi = row[-1]
-                powers.append([(a * q, b * q) for a, b in row] + [(lo * L, hi * H)])
-            self._interval, self._bits, self._powers = interval, -1, powers
+            powers = _power_table(interval, self.deg)
+            self._interval, self._bits, self._powers, self._slack = interval, -1, powers, None
         if bits is not None and bits > self._bits:
             self._bits = bits
 
@@ -220,15 +258,8 @@ class _AlgebraicArith:
         """
         self._refine(tol)
         nums, den = x
-        powers = self._powers[max(len(nums) - 1, 0)]
-        acc_lo = acc_hi = 0
-        for n, (pl, ph) in zip(nums, powers):
-            a, b = n * pl, n * ph
-            if a > b:
-                a, b = b, a
-            acc_lo += a
-            acc_hi += b
-        return acc_lo, acc_hi, den * powers[0][0]
+        row = self._powers[max(len(nums) - 1, 0)]
+        return (*_termwise(nums, row), den * row[0][0])
 
     def is_zero(self, x) -> bool:
         nums, _ = x
@@ -281,22 +312,91 @@ class _AlgebraicArith:
 
     def step(self, x):
         v = self._mul_beta(x)
-        d, bounds = self._certified_floor(v)
-        if bounds is None:
-            # beta*x is exactly the integer d, so the image is exactly 1
-            return d, self.one()
+        carried = (self._carried_floor(x, v) if self._exact_steps >= _CARRY_AFTER
+                   and self.num.interval is self._interval and self._bits >= self._carry_bits
+                   else None)
+        if carried is None:
+            self._exact_steps += 1
+            self._carry = None
+            d, bounds = self._certified_floor(v)
+            if bounds is None:
+                # beta*x is exactly the integer d, so the image is exactly 1
+                return d, self.one()
+        else:
+            d, a, b = carried
         nums, den = self._minus_int(v, d + 1)
-        nxt = [-a for a in nums]
+        nxt = [-n for n in nums]
         while nxt and nxt[-1] == 0:
             nxt.pop()
         image = (tuple(nxt), den)
-        # termwise, the bounds of d + 1 - v are d + 1 minus those of v
-        lo, hi, D = bounds
-        self._image = (image, self._interval, ((d + 1) * D - hi, (d + 1) * D - lo, D))
+        if carried is None:
+            # termwise, the bounds of d + 1 - v are d + 1 minus those of v
+            lo, hi, D = bounds
+            self._image = (image, self._interval, ((d + 1) * D - hi, (d + 1) * D - lo, D))
+        elif b - a <= 1 << (_CARRY_BITS - _KEY_BITS):
+            self._carry = (image, self._interval, a, b)
+        else:
+            self._carry = self._refresh(image)
         return d, image
 
+    def _carried_floor(self, x, v):
+        """(d, a, b): the floor of v = beta*x off the carry of x, and [a, b] / 2^P
+        around d + 1 - v; or None.  The carry puts v in [bl a, bh b] / 2^(2P).
+        The exact step's first enclosure of v, termwise on num's interval, is
+        at most W = max|n_i| sum_i (H_i - L_i) / (den q^m) wide: where the carried
+        interval widened by W lies in (d, d + 1), it decides d without refining
+        or is_zero, so the exact step may be skipped."""
+        carry = self._carry if self._carry and self._carry[0] is x else self._refresh(x)
+        if carry is None:
+            return None
+        _, _, a, b = carry
+        _, _, _, bl, bh = self._twin
+        lo, hi = bl * a, bh * b
+        d = lo >> 2 * _CARRY_BITS
+        gap_lo, gap_hi = lo - (d << 2 * _CARRY_BITS), ((d + 1) << 2 * _CARRY_BITS) - hi
+        gap = min(gap_lo, gap_hi)
+        if self._slack is None:
+            # row m spreads t = sum_i (H_i - L_i) < 2^(bitlen t - bitlen q^m + 1) q^m
+            self._slack = [(t.bit_length() - row[0][0].bit_length() + 2 + 2 * _CARRY_BITS
+                            if (t := sum(h - l for l, h in row)) else -inf) for row in self._powers]
+        nums, den = v
+        # W 2^(2P) < 2^k, so a gap of at least 2^k holds W
+        k = max(map(abs, nums)).bit_length() - den.bit_length() + self._slack[len(nums) - 1]
+        if gap <= 0 or gap.bit_length() <= k:
+            return None
+        # d + 1 - v lies in [gap_hi, 2^(2P) - gap_lo] / 2^(2P); round outward
+        return d, gap_hi >> _CARRY_BITS, (1 << _CARRY_BITS) - (gap_lo >> _CARRY_BITS)
+
+    def _refresh(self, x):
+        """The carry of x read off the private copy of beta, refined by doubling
+        bits until the carry is at most 2^(16 - P) wide; None, and the carry
+        off for good, when that would pass max_bits."""
+        nums, den = x
+        # refine rebinds the interval, so a shallow copy refines on its own
+        twin, bits = self._twin[:2] if self._twin else (copy.copy(self.num), self._bits)
+        while True:
+            if self._twin is None or self._twin[1] != bits:
+                interval = twin.refine(Fraction(1, 2**bits)) if self._twin else twin.interval
+                (L, H), q = _over_common_denominator(interval)
+                self._twin = (twin, bits, _power_table(interval, self.deg),
+                              (L << _CARRY_BITS) // q, -((-H << _CARRY_BITS) // q))
+            row = self._twin[2][len(nums) - 1]
+            lo, hi = _termwise(nums, row)
+            D = den * row[0][0]
+            a, b = max((lo << _CARRY_BITS) // D, 0), -((-hi << _CARRY_BITS) // D)
+            if b - a <= 1 << 16:
+                return x, self._interval, a, b
+            if bits >= self._max_bits:
+                self._carry_bits = inf
+                return None
+            bits = min(2 * bits, self._max_bits)
+
     def key(self, x):
-        """int(mid * 2**48) for the midpoint of the 2^-64 enclosure, exactly."""
+        """int(mid * 2**48) for the midpoint of the 2^-64 enclosure, exactly, or
+        floor(mid * 2**48) for that of the carry of x, which is within 1 of it."""
+        carry = self._carry
+        if carry is not None and carry[0] is x and carry[1] is self.num.interval:
+            return (carry[2] + carry[3]) >> (_CARRY_BITS - 47)
         image = self._image
         # reuse the image's bounds when beta's interval, unchanged since, meets 2^-64
         if (image is not None and image[0] is x and image[1] is self.num.interval
@@ -417,7 +517,7 @@ class DigitStream:
         key = self.arith.key(nxt)
         rep = self._find_repeat(idx, key)
         if rep is not None:
-            self.word = canonicalize(self.digits[:rep], self.digits[rep:idx])
+            self.word = _canonical(tuple(self.digits[:rep]), tuple(self.digits[rep:idx]))
         else:
             self._buckets.setdefault(key, []).append(idx)
 
@@ -503,8 +603,8 @@ def lower_bound_word(d1: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
         per = d1.per
         if per[-1] < 1:
             raise InvariantError("expansion of 1 cannot end its period with 0")
-        return canonicalize((), (0,) + per[:-1] + (per[-1] - 1,))
-    return canonicalize((0,) + d1.pre, d1.per)
+        return _canonical((), (0,) + per[:-1] + (per[-1] - 1,))
+    return _canonical((0,) + d1.pre, d1.per)
 
 
 def shift_membership(w: EventuallyPeriodicWord, d1: EventuallyPeriodicWord) -> bool:

@@ -118,10 +118,10 @@ def _y_vector_candidates(w: EventuallyPeriodicWord, rho: Permutation):
     its flip; with an empty range it tries no bonus, then the vacuous one."""
     q, p, digits = w.padded_form()
     size = p + q
-    inv = rho.inverse()
+    img, inv = rho.image, rho.inverse()
 
     def rho_ext(k: int) -> int:
-        return rho(k) if k <= size else rho(q + 1)
+        return img[k - 1] if k <= size else img[q]
 
     order = [inv[rank - 1] for rank in range(size, 1, -1)]
     j1 = inv[0]
@@ -129,8 +129,8 @@ def _y_vector_candidates(w: EventuallyPeriodicWord, rho: Permutation):
 
     def rec(idx: int, silent: int | None):
         if idx == len(order):
-            in_range = [y[k] for k in range(1, size + 1)
-                        if 1 < rho(k) <= rho_ext(j1 + 1)]
+            top = rho_ext(j1 + 1)
+            in_range = [y[k] for k in range(1, size + 1) if 1 < img[k - 1] <= top]
             display = 1 if in_range and all(v == 0 for v in in_range) else 0
             for bonus in (display, 1 - display):
                 y[j1] = digits[j1 - 1] + bonus
@@ -138,12 +138,11 @@ def _y_vector_candidates(w: EventuallyPeriodicWord, rho: Permutation):
             del y[j1]
             return
         j = order[idx]
-        rank = rho(j)
+        rank = img[j - 1]
         i = inv[rank - 2]
         d = digits[j - 1] - digits[i - 1]
         ri1, rj1 = rho_ext(i + 1), rho_ext(j + 1)
-        some_pos = any(y[k] >= 1 for k in range(1, size + 1)
-                       if rank < rho(k) <= rj1 and k in y)
+        some_pos = any(v >= 1 for k, v in y.items() if rank < img[k - 1] <= rj1)
         first = _display_value(d, rank, ri1, rj1, some_pos)
         if first is None:
             first, silent = d + 1, silent or rank
@@ -157,16 +156,16 @@ def _y_vector_candidates(w: EventuallyPeriodicWord, rho: Permutation):
 
 
 def _assemble(rho: Permutation, y: tuple[int, ...]) -> Permutation:
-    size = rho.n
-    c = sum(y)
-    n = c + size
-    image = [0] * n
-    for j in range(1, size + 1):
-        image[c + j - 1] = rho(j) + sum(y[k - 1] for k in range(1, size + 1)
-                                        if rho(k) <= rho(j))
-    used = set(image[c:])
-    image[:c] = sorted(v for v in range(1, n + 1) if v not in used)
-    return Permutation(tuple(image))
+    """Position c + j gets rho(j) plus y summed over the ranks up to rho(j);
+    the c = sum(y) values left over come first, increasing."""
+    by_rank = [0] * (rho.n + 1)
+    for r, v in zip(rho.image, y):
+        by_rank[r] = v
+    up_to = list(itertools.accumulate(by_rank))
+    tail = [r + up_to[r] for r in rho.image]
+    used = set(tail)
+    head = [v for v in range(1, up_to[-1] + rho.n + 1) if v not in used]
+    return Permutation(tuple(head + tail))
 
 
 def construct_state(w: EventuallyPeriodicWord, check_expansion: bool = True,

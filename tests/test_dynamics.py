@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -386,21 +387,32 @@ def test_the_key_of_an_image_reuses_the_enclosure_of_its_floor(monkeypatch):
                         lambda self, x, tol: calls.append(tol) or real_bounds(self, x, tol))
     res = expansion_of_one(parse_beta(DEGREE_SIX, DEFAULT_PRECISION), max_digits=200)
     assert len(res.digits) == 200 and not res.is_periodic
-    # one enclosure per step, for the floor, and one for the key of the start
-    # point; computing each image's key afresh would make it 401
-    assert len(calls) == 201
-    # every reused key is the one a fresh enclosure gives
+    # one enclosure for the key of the start point and one per exact step, for
+    # the floor; the carried steps and their keys take none.  Without the carry
+    # it was 201, and computing each image's key afresh made it 401
+    assert len(calls) == 1 + dynamics._CARRY_AFTER == 17
+    # a reused key is the one a fresh 2^-64 enclosure gives, and a carried key
+    # is within 1 of it wherever that enclosure is at most 2^-50 wide
     real_key = dynamics._AlgebraicArith.key
+    counts = {"reused": 0, "carried": 0}
 
     def checked_key(self, x):
         got = real_key(self, x)
-        self._image = None
-        assert real_key(self, x) == got
+        lo, hi, den = real_bounds(self, x, dynamics._TOL_64)
+        fresh = ((lo + hi) << 47) // den
+        if self._carry is not None and self._carry[0] is x:
+            if (hi - lo) << 50 <= den:
+                assert abs(got - fresh) <= 1
+                counts["carried"] += 1
+        else:
+            assert got == fresh
+            counts["reused"] += 1
         return got
 
     monkeypatch.setattr(dynamics._AlgebraicArith, "key", checked_key)
     again = expansion_of_one(parse_beta(DEGREE_SIX, DEFAULT_PRECISION), max_digits=200)
     assert again.digits == res.digits
+    assert counts == {"reused": 1 + dynamics._CARRY_AFTER, "carried": 200 - dynamics._CARRY_AFTER}
 
 
 def test_the_key_of_an_image_bounded_on_a_wide_interval_refines_beta_first():
@@ -496,6 +508,139 @@ def test_power_tables_keep_the_refinement_history(monkeypatch, digits, precision
     if digits == 2500:
         lo, hi = fast[2]
         assert Fraction(1, 2**1024) < hi - lo <= Fraction(1, 2**512)
+
+
+def _carry_off(monkeypatch):
+    monkeypatch.setattr(dynamics, "_CARRY_AFTER", math.inf)
+
+
+@given(st.integers(0, len(POWER_TABLE_BASES) - 1), st.integers(1, 2**40), st.integers(0, 2**40),
+       st.integers(dynamics._CARRY_AFTER + 1, 120))
+@settings(max_examples=60, deadline=None)
+def test_a_carried_enclosure_contains_its_point(which, den, num, steps):
+    beta = POWER_TABLE_BASES[which]()
+    arith, x = dynamics._start(beta, Fraction(num % den + 1, den), DEFAULT_PRECISION)
+    # the exact value, from the Horner oracle on an independent copy of beta
+    oracle = dynamics._arith_for(BetaValue(AlgebraicNumber(beta.algebraic.polynomial,
+                                                           beta.algebraic.interval)),
+                                 DEFAULT_PRECISION)
+    for _ in range(steps):
+        _, x = arith.step(x)
+        carry = arith._carry
+        if carry is None:
+            continue
+        point, _, a, b = carry
+        assert point is x and 0 <= a <= b
+        nums, den_x = x
+        tol = Fraction(1, 2**(max(map(abs, nums)).bit_length() - den_x.bit_length()
+                               + 2 * dynamics._CARRY_BITS))
+        lo, hi, d = _horner_bounds(oracle, x, tol)
+        # a/2^P <= lo/d <= x <= hi/d <= b/2^P
+        assert a * d <= lo << dynamics._CARRY_BITS and hi << dynamics._CARRY_BITS <= b * d
+
+
+@pytest.mark.parametrize("digits, precision", [
+    # the default schedule escalates beta to a 2^-512 interval before digit 2500
+    (2500, DEFAULT_PRECISION),
+    # below 64 start bits, the key of the start point refines beta to 2^-64
+    (300, dynamics.PrecisionConfig(32, 4096)),
+])
+def test_the_carry_keeps_the_refinement_history(monkeypatch, digits, precision):
+    def expand():
+        beta = parse_beta(DEGREE_SIX, precision)
+        calls = []
+        real = AlgebraicNumber.refine
+
+        def recorded(self, *a):
+            if self is beta.algebraic:
+                calls.append(a)
+            return real(self, *a)
+
+        with monkeypatch.context() as m:
+            m.setattr(AlgebraicNumber, "refine", recorded)
+            res = expansion_of_one(beta, max_digits=digits, precision=precision)
+        assert len(res.digits) == digits and not res.is_periodic
+        return (res.digits, res.orbit_intervals(32, Fraction(1, 2**128)), calls,
+                beta.algebraic.interval), res.arith._exact_steps
+
+    carried, exact_steps = expand()
+    assert exact_steps < digits // 10
+    _carry_off(monkeypatch)
+    assert expand() == (carried, digits)
+
+
+def test_the_carry_waits_while_a_decimal_refinement_leaves_the_bits_unknown(monkeypatch):
+    # after an enclosure at a decimal tolerance, beta's interval meets no known
+    # dyadic width, so the next exact step refines to the first tolerance again
+    def run():
+        beta = parse_beta(DEGREE_SIX, DEFAULT_PRECISION)
+        calls = []
+        real = AlgebraicNumber.refine
+
+        def recorded(self, *a):
+            if self is beta.algebraic:
+                calls.append(a)
+            return real(self, *a)
+
+        with monkeypatch.context() as m:
+            m.setattr(AlgebraicNumber, "refine", recorded)
+            arith, x = dynamics._start(beta, 1, DEFAULT_PRECISION)
+            digits = []
+            for k in range(1, 301):
+                d, x = arith.step(x)
+                digits.append(d)
+                if k % 50 == 0:
+                    arith.enclosure(x, Fraction(1, 10**(40 + k // 5)))
+        return digits, calls, beta.algebraic.interval
+
+    carried = run()
+    assert sum(call == (Fraction(1, 2**128),) for call in carried[1]) > 3
+    _carry_off(monkeypatch)
+    assert run() == carried
+
+
+@given(st.integers(0, len(POWER_TABLE_BASES) - 1),
+       st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=8), st.integers(1, 2**64))
+@settings(max_examples=100, deadline=None)
+def test_the_width_bound_of_the_carry_holds_for_every_termwise_enclosure(which, nums, den):
+    arith, x = dynamics._start(POWER_TABLE_BASES[which](), Fraction(2, 7), DEFAULT_PRECISION)
+    for _ in range(dynamics._CARRY_AFTER + 1):
+        _, x = arith.step(x)
+    point = (tuple(nums[:arith.deg]), den)
+    # the exact step's first enclosure, on the interval the bound was built for
+    lo, hi, d = arith._bounds(point, Fraction(1, 2**128))
+    k = (max(map(abs, point[0])).bit_length() - den.bit_length()
+         + arith._slack[len(point[0]) - 1])
+    if k == -math.inf:
+        assert lo == hi
+    else:
+        assert Fraction(hi - lo, d) < Fraction(2) ** (k - 2 * dynamics._CARRY_BITS)
+
+
+# the threshold base of 24,4,3,12,17,16,18,19,21,9,5,1,23,6,11,7,8,22,10,15,13,2,20,14,
+# whose expansion of 1, 9004667882009131293(5408), repeats at digit 23
+LATE_REPEAT = "poly:-5,-9,-2,4,0,8,7,1,-3,-1,-1,-8,7,-4,-2,4,-7,6,3,4,-1,1,-10,1:1"
+
+
+@pytest.mark.parametrize("spec, budget", [
+    ("21/10", 400), ("poly:-1,-1,-1,1:1", 100), (LATE_REPEAT, 100)])
+def test_the_carry_finds_the_same_period(monkeypatch, spec, budget):
+    def detect():
+        repeats = []
+        real = dynamics.DigitStream._find_repeat
+        with monkeypatch.context() as m:
+            m.setattr(dynamics.DigitStream, "_find_repeat",
+                      lambda self, *a: repeats.append(real(self, *a)) or repeats[-1])
+            stream = dynamics.DigitStream(parse_beta(spec, DEFAULT_PRECISION), 1,
+                                          max_digits=budget + 1)
+            word = stream.detect_period(budget)
+        return stream.digits, word, [i for i in repeats if i is not None]
+
+    carried = detect()
+    _carry_off(monkeypatch)
+    assert detect() == carried
+    if spec == LATE_REPEAT:
+        assert carried[1] == word("9004667882009131293(5408)") and carried[2] == [19]
 
 
 @pytest.mark.parametrize("spec", [DEGREE_SIX, DEGREE_SEVEN])

@@ -282,3 +282,36 @@ def test_strict_y_digits_is_the_literal_display_reading():
             if bonus and expected != _literal_y_digits(w, rho, False):
                 seen["vacuous"] += 1
     assert seen["silent"] and seen["vacuous"]
+
+
+def _quadratic_assemble(rho: Permutation, y: tuple[int, ...]) -> Permutation:
+    """``inverse._assemble`` before its prefix sum: the sum of y over the
+    positions of lower rank recomputed for every position."""
+    size = rho.n
+    c = sum(y)
+    n = c + size
+    image = [0] * n
+    for j in range(1, size + 1):
+        image[c + j - 1] = rho(j) + sum(y[k - 1] for k in range(1, size + 1)
+                                        if rho(k) <= rho(j))
+    used = set(image[c:])
+    image[:c] = sorted(v for v in range(1, n + 1) if v not in used)
+    return Permutation(tuple(image))
+
+
+def test_assemble_equals_the_quadratic_oracle_on_every_candidate_tried(monkeypatch):
+    # the criterion-7 corpus: expansions with preperiod plus period at most 5 over 0..3
+    corpus = [w for w in words_over(4, 4, 5)
+              if w.preperiod_length + w.period_length <= 5 and _safe_validate(w)]
+    real, tried = inverse._assemble, []
+
+    def checked(rho, y):
+        got = real(rho, y)
+        assert got == _quadratic_assemble(rho, y), (rho, y)
+        tried.append(y)
+        return got
+
+    monkeypatch.setattr(inverse, "_assemble", checked)
+    for w in corpus:
+        assert analyze(construct_state(w, check_expansion=False).result).a == w
+    assert len(corpus) > 100 and len(tried) > len(corpus)
