@@ -51,7 +51,7 @@ from .permutations import (
     rank_positions,
     skeleton,
 )
-from .words import EventuallyPeriodicWord, _canonical, canonicalize, periodization
+from .words import EventuallyPeriodicWord, _canonical
 
 ENUMERATION_BOUND = 12  # the largest n_max that count_b1 runs in a few seconds
 SPECTRUM_BOUND = 8  # the largest n whose whole S_n spectrum and extremal set are enumerated
@@ -177,7 +177,7 @@ def _b1_exponent(a: EventuallyPeriodicWord) -> int:
         fp = words.phi_power(k)
         if len(fp) > 4 * a.period_length + 64:
             raise InvariantError(f"threshold word {a} at base 1 matches no substitution power")
-        if not a.pre and periodization(fp) == a:
+        if not a.pre and _canonical((), fp) == a:
             return k
         k += 1
 
@@ -313,7 +313,7 @@ def spectrum(n: int) -> list[SpectrumGroup]:
 def extremal_word(n: int) -> EventuallyPeriodicWord:
     """The word (n-2)(n-3)...1 followed by zeros, whose base is the largest
     threshold over S_n."""
-    return canonicalize(tuple(range(n - 2, 0, -1)), (0,))
+    return _canonical(tuple(range(n - 2, 0, -1)), (0,))
 
 
 def max_families(n: int) -> list[Permutation]:
@@ -475,8 +475,8 @@ def _search_realizing(pi: Permutation, alphabet_size: int, max_prefix: int, max_
         (admissibility.d1_digit, words.GREATER), (admissibility.lower_digit, words.LESS))
 
     for prefix in _condition_i_prefixes(sk, alphabet_size):
-        upper = periodization(prefix[lm.r - 1:]) if pi(n) != n else None
-        lower = periodization(prefix[lm.ell - 1:]) if pi(n) != 1 else None
+        upper = _canonical((), prefix[lm.r - 1:]) if pi(n) != n else None
+        lower = _canonical((), prefix[lm.ell - 1:]) if pi(n) != 1 else None
         if upper is not None and lower is not None and not lower < upper:
             continue
         ties = ()
@@ -585,10 +585,10 @@ def _seeded_witnesses(report: AnalysisReport, precision: PrecisionConfig):
     per = a.per
     if per != (0,):
         try:
-            tails.append(periodization(words.derived_word(per)))
+            tails.append(_canonical((), words.derived_word(per)))
         except NegBetaError:
             pass
-    tails.append(periodization(per[:-1] + (per[-1] + 1,)))
+    tails.append(_canonical((), per[:-1] + (per[-1] + 1,)))
     if report.b_minus != 1:
         d1 = expansion_of_one(report.b_minus, precision=precision).word
         if d1 is not None:

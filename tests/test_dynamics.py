@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -514,6 +515,16 @@ def _carry_off(monkeypatch):
     monkeypatch.setattr(dynamics, "_CARRY_AFTER", math.inf)
 
 
+@contextlib.contextmanager
+def _refine_calls(monkeypatch, num):
+    """The arguments of every refine call on num inside the block."""
+    calls, real = [], AlgebraicNumber.refine
+    with monkeypatch.context() as m:
+        m.setattr(AlgebraicNumber, "refine",
+                  lambda self, *a: (self is num and calls.append(a)) or real(self, *a))
+        yield calls
+
+
 @given(st.integers(0, len(POWER_TABLE_BASES) - 1), st.integers(1, 2**40), st.integers(0, 2**40),
        st.integers(dynamics._CARRY_AFTER + 1, 120))
 @settings(max_examples=60, deadline=None)
@@ -548,16 +559,7 @@ def test_a_carried_enclosure_contains_its_point(which, den, num, steps):
 def test_the_carry_keeps_the_refinement_history(monkeypatch, digits, precision):
     def expand():
         beta = parse_beta(DEGREE_SIX, precision)
-        calls = []
-        real = AlgebraicNumber.refine
-
-        def recorded(self, *a):
-            if self is beta.algebraic:
-                calls.append(a)
-            return real(self, *a)
-
-        with monkeypatch.context() as m:
-            m.setattr(AlgebraicNumber, "refine", recorded)
+        with _refine_calls(monkeypatch, beta.algebraic) as calls:
             res = expansion_of_one(beta, max_digits=digits, precision=precision)
         assert len(res.digits) == digits and not res.is_periodic
         return (res.digits, res.orbit_intervals(32, Fraction(1, 2**128)), calls,
@@ -574,16 +576,7 @@ def test_the_carry_waits_while_a_decimal_refinement_leaves_the_bits_unknown(monk
     # dyadic width, so the next exact step refines to the first tolerance again
     def run():
         beta = parse_beta(DEGREE_SIX, DEFAULT_PRECISION)
-        calls = []
-        real = AlgebraicNumber.refine
-
-        def recorded(self, *a):
-            if self is beta.algebraic:
-                calls.append(a)
-            return real(self, *a)
-
-        with monkeypatch.context() as m:
-            m.setattr(AlgebraicNumber, "refine", recorded)
+        with _refine_calls(monkeypatch, beta.algebraic) as calls:
             arith, x = dynamics._start(beta, 1, DEFAULT_PRECISION)
             digits = []
             for k in range(1, 301):
