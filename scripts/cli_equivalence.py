@@ -78,6 +78,12 @@ CORPUS = [
     # the threshold base of 24,4,3,12,17,16,18,19,21,9,5,1,23,6,11,7,8,22,10,15,13,2,20,14:
     # its expansion of 1 repeats only at digit 23
     ["expansion", "--beta", "poly:-5,-9,-2,4,0,8,7,1,-3,-1,-1,-8,7,-4,-2,4,-7,6,3,4,-1,1,-10,1:1"],
+    # a degree-19 base whose expansion of 1 returns to point 11 at digit 19: on a
+    # 2^-64 interval its points have exact enclosures wider than the keys allow
+    ["expansion", "--beta", "poly:-2,7,-4,-2,1,-6,-7,10,0,-2,4,5,-5,8,-2,1,-7,5,-11,1:1",
+     "--precision", "32"],
+    ["expansion", "--beta", "poly:-5,-9,-2,4,0,8,7,1,-3,-1,-1,-8,7,-4,-2,4,-7,6,3,4,-1,1,-10,1:1",
+     "--precision", "32"],
     ["expansion", "--beta", "1"],
     ["expansion", "--beta", "poly:-1,-1,1:2"],
     ["member", "1(0)", "--beta", "21/10"],

@@ -64,9 +64,10 @@ DEFAULT_PRECISION = PrecisionConfig()
 _TOL_64 = Fraction(1, 2**64)
 PERIOD_BUDGET = 600  # digits of the expansion of 1 a membership oracle searches for a period
 COMPARE_CAP = 20000  # digits a membership oracle's tail comparison may read
-# Carried enclosures have P = _CARRY_BITS fractional bits, and give keys when
-# at most 2^-_KEY_BITS wide.  The carry waits for _CARRY_AFTER exact steps: the
-# walks of invert end within about 10, before a private copy of beta pays off.
+# Carried enclosures have P = _CARRY_BITS fractional bits, and keys come from
+# enclosures at most 2^-_KEY_BITS wide.  The carry waits for _CARRY_AFTER exact
+# steps: the walks of invert take at most 5 on the benchmark's query corpus,
+# whose wall time read 4% slower with the carry engaged from the first step.
 _CARRY_BITS = 128
 _KEY_BITS = 50
 _CARRY_AFTER = 16
@@ -150,9 +151,8 @@ class _AlgebraicArith:
     representations) are compared, so a reducible defining polynomial cannot
     corrupt equality decisions.
 
-    On a long orbit a digit is read off a fixed-point enclosure of x carried
-    from step to step, only where the exact step would decide it without
-    refining, so num is refined exactly as without the carry.
+    On a long orbit a digit is read off an enclosure of x carried from step to
+    step where the exact step would decide it at once, so num is refined alike.
     """
 
     def __init__(self, num: AlgebraicNumber, precision: PrecisionConfig = DEFAULT_PRECISION):
@@ -172,11 +172,10 @@ class _AlgebraicArith:
         # the image's bounds there, which key reuses
         self._image = None
         # the bits beta's interval must meet for the carry (infinite: off);
-        # (image, interval, a, b) with a/2^P <= image <= b/2^P; and (copy of
-        # num, bits it meets, its power table, bl, bh) with bl/2^P <= beta <= bh/2^P
+        # (image, interval it was carried on, a, b) with a/2^P <= image <= b/2^P;
+        # (copy of num, bits it meets, its power table, bl, bh), bl/2^P <= beta <= bh/2^P
         self._exact_steps = 0
-        self._carry_bits = max(precision.start_bits, 64)
-        self._max_bits = precision.max_bits
+        self._carry_bits, self._max_bits = max(precision.start_bits, 64), precision.max_bits
         self._carry = self._twin = None
 
     def serves(self, beta) -> bool:
@@ -340,12 +339,11 @@ class _AlgebraicArith:
         return d, image
 
     def _carried_floor(self, x, v):
-        """(d, a, b): the floor of v = beta*x off the carry of x, and [a, b] / 2^P
-        around d + 1 - v; or None.  The carry puts v in [bl a, bh b] / 2^(2P).
-        The exact step's first enclosure of v, termwise on num's interval, is
-        at most W = max|n_i| sum_i (H_i - L_i) / (den q^m) wide: where the carried
-        interval widened by W lies in (d, d + 1), it decides d without refining
-        or is_zero, so the exact step may be skipped."""
+        """(d, a, b): the floor of v = beta*x off the carry of x, which puts v in
+        [bl a, bh b] / 2^(2P), and [a, b] / 2^P around d + 1 - v; or None.  The
+        exact step's first enclosure of v, termwise on num's interval, is at most
+        W = max|n_i| sum_i (H_i - L_i) / (den q^m) wide: where the carried interval
+        widened by W lies in (d, d + 1), that step would decide d at once."""
         carry = self._carry if self._carry and self._carry[0] is x else self._refresh(x)
         if carry is None:
             return None
@@ -381,8 +379,7 @@ class _AlgebraicArith:
                 self._twin = (twin, bits, _power_table(interval, self.deg),
                               (L << _CARRY_BITS) // q, -((-H << _CARRY_BITS) // q))
             row = self._twin[2][len(nums) - 1]
-            lo, hi = _termwise(nums, row)
-            D = den * row[0][0]
+            lo, hi, D = *_termwise(nums, row), den * row[0][0]
             a, b = max((lo << _CARRY_BITS) // D, 0), -((-hi << _CARRY_BITS) // D)
             if b - a <= 1 << 16:
                 return x, self._interval, a, b
@@ -393,19 +390,23 @@ class _AlgebraicArith:
 
     def key(self, x):
         """int(mid * 2**48) for the midpoint of the 2^-64 enclosure, exactly, or
-        floor(mid * 2**48) for that of the carry of x, which is within 1 of it."""
+        floor(mid * 2**48) for that of the carry of x, which x gets (and the next
+        step reuses) where that enclosure is wider than 2^-50 and the carry is
+        on.  Equal points keyed off enclosures this narrow differ by at most 1."""
         carry = self._carry
-        if carry is not None and carry[0] is x and carry[1] is self.num.interval:
-            return (carry[2] + carry[3]) >> (_CARRY_BITS - 47)
-        image = self._image
-        # reuse the image's bounds when beta's interval, unchanged since, meets 2^-64
-        if (image is not None and image[0] is x and image[1] is self.num.interval
-                and self._bits >= 64):
-            lo, hi, den = image[2]
-        else:
-            lo, hi, den = self._bounds(x, _TOL_64)
-        n = (lo + hi) << 47
-        return n // den if n >= 0 else -(-n // den)
+        if carry is None or carry[0] is not x or carry[1] is not self.num.interval:
+            # reuse the image's bounds when beta's interval, unchanged since, meets 2^-64
+            if ((image := self._image) is not None and image[0] is x
+                    and image[1] is self.num.interval and self._bits >= 64):
+                lo, hi, den = image[2]
+            else:
+                lo, hi, den = self._bounds(x, _TOL_64)
+            if ((hi - lo) << _KEY_BITS <= den or self._bits < self._carry_bits
+                    or (carry := self._refresh(x)) is None):
+                n = (lo + hi) << 47
+                return n // den if n >= 0 else -(-n // den)
+            self._carry = carry
+        return (carry[2] + carry[3]) >> (_CARRY_BITS - 47)
 
 
 # bench/tracing.py patches _RationalArith.step, so the name stays bound.

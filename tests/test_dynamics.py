@@ -392,21 +392,24 @@ def test_the_key_of_an_image_reuses_the_enclosure_of_its_floor(monkeypatch):
     # the floor; the carried steps and their keys take none.  Without the carry
     # it was 201, and computing each image's key afresh made it 401
     assert len(calls) == 1 + dynamics._CARRY_AFTER == 17
-    # a reused key is the one a fresh 2^-64 enclosure gives, and a carried key
-    # is within 1 of it wherever that enclosure is at most 2^-50 wide
+    # every key comes from an enclosure at most 2^-50 wide: a reused key is the
+    # one a fresh 2^-64 enclosure gives where that is narrow, and a carried key
+    # is read off its carry, within 1 of the fresh key where that is narrow
     real_key = dynamics._AlgebraicArith.key
     counts = {"reused": 0, "carried": 0}
+    P = dynamics._CARRY_BITS
 
     def checked_key(self, x):
         got = real_key(self, x)
         lo, hi, den = real_bounds(self, x, dynamics._TOL_64)
-        fresh = ((lo + hi) << 47) // den
+        fresh, narrow = ((lo + hi) << 47) // den, (hi - lo) << 50 <= den
         if self._carry is not None and self._carry[0] is x:
-            if (hi - lo) << 50 <= den:
-                assert abs(got - fresh) <= 1
-                counts["carried"] += 1
+            _, _, a, b = self._carry
+            assert b - a <= 1 << (P - 50) and got == (a + b) >> (P - 47)
+            assert not narrow or abs(got - fresh) <= 1
+            counts["carried"] += 1
         else:
-            assert got == fresh
+            assert narrow and got == fresh
             counts["reused"] += 1
         return got
 
@@ -512,7 +515,8 @@ def test_power_tables_keep_the_refinement_history(monkeypatch, digits, precision
 
 
 def _carry_off(monkeypatch):
-    monkeypatch.setattr(dynamics, "_CARRY_AFTER", math.inf)
+    # every carry starts from a refresh, so without one no step or key reads a carry
+    monkeypatch.setattr(dynamics._AlgebraicArith, "_refresh", lambda self, x: None)
 
 
 @contextlib.contextmanager
@@ -613,18 +617,24 @@ def test_the_width_bound_of_the_carry_holds_for_every_termwise_enclosure(which, 
 # the threshold base of 24,4,3,12,17,16,18,19,21,9,5,1,23,6,11,7,8,22,10,15,13,2,20,14,
 # whose expansion of 1, 9004667882009131293(5408), repeats at digit 23
 LATE_REPEAT = "poly:-5,-9,-2,4,0,8,7,1,-3,-1,-1,-8,7,-4,-2,4,-7,6,3,4,-1,1,-10,1:1"
+# a degree-19 threshold base whose expansion of 1,
+# 10,4,6,0,1,7,4,5,6,2,6(10,8,1,3,3,10,9,8), returns to point 11 at digit 19;
+# on a 2^-64 interval the exact enclosures of its points are wider than 2^-50
+EARLY_REPEAT = "poly:-2,7,-4,-2,1,-6,-7,10,0,-2,4,5,-5,8,-2,1,-7,5,-11,1:1"
 
 
-@pytest.mark.parametrize("spec, budget", [
-    ("21/10", 400), ("poly:-1,-1,-1,1:1", 100), (LATE_REPEAT, 100)])
-def test_the_carry_finds_the_same_period(monkeypatch, spec, budget):
+@pytest.mark.parametrize("precision", [DEFAULT_PRECISION, dynamics.PrecisionConfig(32, 4096)])
+@pytest.mark.parametrize("spec, budget, repeat", [
+    ("21/10", 400, None), ("poly:-1,-1,-1,1:1", 100, 2), (LATE_REPEAT, 100, 19),
+    (EARLY_REPEAT, 100, 11)])
+def test_the_carry_finds_the_same_period(monkeypatch, precision, spec, budget, repeat):
     def detect():
         repeats = []
         real = dynamics.DigitStream._find_repeat
         with monkeypatch.context() as m:
             m.setattr(dynamics.DigitStream, "_find_repeat",
                       lambda self, *a: repeats.append(real(self, *a)) or repeats[-1])
-            stream = dynamics.DigitStream(parse_beta(spec, DEFAULT_PRECISION), 1,
+            stream = dynamics.DigitStream(parse_beta(spec, precision), 1, precision,
                                           max_digits=budget + 1)
             word = stream.detect_period(budget)
         return stream.digits, word, [i for i in repeats if i is not None]
@@ -632,8 +642,10 @@ def test_the_carry_finds_the_same_period(monkeypatch, spec, budget):
     carried = detect()
     _carry_off(monkeypatch)
     assert detect() == carried
+    if repeat is not None:
+        assert carried[2] == [repeat]
     if spec == LATE_REPEAT:
-        assert carried[1] == word("9004667882009131293(5408)") and carried[2] == [19]
+        assert carried[1] == word("9004667882009131293(5408)")
 
 
 @pytest.mark.parametrize("spec", [DEGREE_SIX, DEGREE_SEVEN])
