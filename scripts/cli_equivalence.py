@@ -75,6 +75,7 @@ CORPUS = [
     # long orbits, where the step reads its digit off a carried enclosure
     ["expansion", "--beta", "3/2", "--digits", "2000", "--no-period"],
     ["expansion", "--beta", "poly:-2,-2,-2,-2,-1,-1,-1,1:1", "--digits", "2500"],
+    ["expansion", "--beta", "poly:-2,-2,-2,-2,-1,-1,-1,1:1", "--digits", "1000"],
     # the threshold base of 24,4,3,12,17,16,18,19,21,9,5,1,23,6,11,7,8,22,10,15,13,2,20,14:
     # its expansion of 1 repeats only at digit 23
     ["expansion", "--beta", "poly:-5,-9,-2,4,0,8,7,1,-3,-1,-1,-8,7,-4,-2,4,-7,6,3,4,-1,1,-10,1:1"],
@@ -98,6 +99,11 @@ CORPUS = [
     ["realize", "4321", "--max-alphabet", "1"],
     ["verify", "4321"],
     ["verify", "14523"],
+    # with 14523, the verify sample of the benchmark's seed-1 certify batch
+    ["verify", "31542"],
+    ["verify", "53412"],
+    ["verify", "43125"],
+    ["verify", "52341"],
     ["verify", "23541"],
     ["verify", "526413"],
     ["verify", "2314"],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf
 
@@ -177,6 +177,8 @@ class _AlgebraicArith:
         self._exact_steps = 0
         self._carry_bits, self._max_bits = max(precision.start_bits, 64), precision.max_bits
         self._carry = self._twin = None
+        # floor(num), which _walk reads after the first step
+        self.top = None
 
     def serves(self, beta) -> bool:
         # beta is a BetaValue, an AlgebraicNumber or a rational.  The enclosures
@@ -195,31 +197,6 @@ class _AlgebraicArith:
 
     def from_rational(self, x: Fraction):
         return ((x.numerator,), x.denominator)
-
-    def _mul_beta(self, x):
-        """beta * x, reduced modulo the defining polynomial.
-
-        With a monic polynomial the denominator is kept and no gcd is taken.
-        Otherwise the reduction divides by the (positive) leading coefficient,
-        so the point is scaled by it and put back in lowest terms.
-        """
-        nums, den = x
-        if len(nums) < self.deg:
-            return (0, *nums), den
-        c, lead = nums[-1], self.sf[-1]
-        if lead == 1:
-            out = [a - c * s for a, s in zip((0, *nums[:-1]), self.sf)]
-        else:
-            out = [lead * a - c * s for a, s in zip((0, *nums[:-1]), self.sf)]
-            den *= lead
-        while out and out[-1] == 0:
-            out.pop()
-        if lead != 1:
-            g = gcd(den, *out)
-            if g > 1:
-                out = [a // g for a in out]
-                den //= g
-        return tuple(out), den
 
     @staticmethod
     def _minus_int(x, k: int):
@@ -310,26 +287,71 @@ class _AlgebraicArith:
             "floor undecided at max precision", straddled=fhi)
 
     def step(self, x):
-        v = self._mul_beta(x)
-        carried = (self._carried_floor(x, v) if self._exact_steps >= _CARRY_AFTER
-                   and self.num.interval is self._interval and self._bits >= self._carry_bits
-                   else None)
-        if carried is None:
+        """(d, T(x)) from one list w = -beta*x reduced modulo the defining
+        polynomial, a non-monic one scaling the point by its (positive) leading
+        coefficient and a gcd putting it back in lowest terms; T(x) = w + d + 1.
+
+        Past _CARRY_AFTER exact steps the carry of x puts beta*x in
+        [bl a, bh b] / 2^(2P).  The exact step's first enclosure of it, termwise
+        on num's interval, is at most W = max|n_i| sum_i (H_i - L_i) / (den q^m)
+        wide, so where the carried interval widened by W lies in (d, d + 1),
+        that step would decide d at once, and d is read off the carry.
+        """
+        nums, den = x
+        sf = self.sf
+        if len(nums) < self.deg:
+            w = [0, *(-n for n in nums)]
+        else:
+            c, lead = nums[-1], sf[-1]
+            if lead == 1:
+                w = [c * s - a for a, s in zip((0, *nums[:-1]), sf)]
+            else:
+                w = [c * s - lead * a for a, s in zip((0, *nums[:-1]), sf)]
+                den *= lead
+            while w and w[-1] == 0:
+                w.pop()
+            if lead != 1:
+                g = gcd(den, *w)
+                if g > 1:
+                    w = [a // g for a in w]
+                    den //= g
+        carry = None
+        if (self._exact_steps >= _CARRY_AFTER and self.num.interval is self._interval
+                and self._bits >= self._carry_bits):
+            carry = self._carry if self._carry and self._carry[0] is x else self._refresh(x)
+        if carry is not None:
+            _, _, a, b = carry
+            _, _, _, bl, bh = self._twin
+            lo, hi = bl * a, bh * b
+            d = lo >> 2 * _CARRY_BITS
+            gap_lo, gap_hi = lo - (d << 2 * _CARRY_BITS), ((d + 1) << 2 * _CARRY_BITS) - hi
+            gap = min(gap_lo, gap_hi)
+            if self._slack is None:
+                # row m spreads t = sum_i (H_i - L_i) < 2^(bitlen t - bitlen q^m + 1) q^m
+                self._slack = [(t.bit_length() - row[0][0].bit_length() + 2 + 2 * _CARRY_BITS
+                                if (t := sum(h - l for l, h in row)) else -inf)
+                               for row in self._powers]
+            # W 2^(2P) < 2^k, so a gap of at least 2^k holds W
+            k = (max(max(w), -min(w)).bit_length() - den.bit_length()
+                 + self._slack[len(w) - 1])
+            if gap > 0 and gap.bit_length() > k:
+                # d + 1 - beta*x lies in [gap_hi, 2^(2P) - gap_lo] / 2^(2P); round outward
+                a, b = gap_hi >> _CARRY_BITS, (1 << _CARRY_BITS) - (gap_lo >> _CARRY_BITS)
+            else:
+                carry = None
+        if carry is None:
             self._exact_steps += 1
             self._carry = None
-            d, bounds = self._certified_floor(v)
+            d, bounds = self._certified_floor(([-n for n in w], den))
             if bounds is None:
                 # beta*x is exactly the integer d, so the image is exactly 1
                 return d, self.one()
-        else:
-            d, a, b = carried
-        nums, den = self._minus_int(v, d + 1)
-        nxt = [-n for n in nums]
-        while nxt and nxt[-1] == 0:
-            nxt.pop()
-        image = (tuple(nxt), den)
-        if carried is None:
-            # termwise, the bounds of d + 1 - v are d + 1 minus those of v
+        w[0] += (d + 1) * den
+        while w and w[-1] == 0:
+            w.pop()
+        image = (tuple(w), den)
+        if carry is None:
+            # termwise, the bounds of d + 1 - beta*x are d + 1 minus those of beta*x
             lo, hi, D = bounds
             self._image = (image, self._interval, ((d + 1) * D - hi, (d + 1) * D - lo, D))
         elif b - a <= 1 << (_CARRY_BITS - _KEY_BITS):
@@ -337,33 +359,6 @@ class _AlgebraicArith:
         else:
             self._carry = self._refresh(image)
         return d, image
-
-    def _carried_floor(self, x, v):
-        """(d, a, b): the floor of v = beta*x off the carry of x, which puts v in
-        [bl a, bh b] / 2^(2P), and [a, b] / 2^P around d + 1 - v; or None.  The
-        exact step's first enclosure of v, termwise on num's interval, is at most
-        W = max|n_i| sum_i (H_i - L_i) / (den q^m) wide: where the carried interval
-        widened by W lies in (d, d + 1), that step would decide d at once."""
-        carry = self._carry if self._carry and self._carry[0] is x else self._refresh(x)
-        if carry is None:
-            return None
-        _, _, a, b = carry
-        _, _, _, bl, bh = self._twin
-        lo, hi = bl * a, bh * b
-        d = lo >> 2 * _CARRY_BITS
-        gap_lo, gap_hi = lo - (d << 2 * _CARRY_BITS), ((d + 1) << 2 * _CARRY_BITS) - hi
-        gap = min(gap_lo, gap_hi)
-        if self._slack is None:
-            # row m spreads t = sum_i (H_i - L_i) < 2^(bitlen t - bitlen q^m + 1) q^m
-            self._slack = [(t.bit_length() - row[0][0].bit_length() + 2 + 2 * _CARRY_BITS
-                            if (t := sum(h - l for l, h in row)) else -inf) for row in self._powers]
-        nums, den = v
-        # W 2^(2P) < 2^k, so a gap of at least 2^k holds W
-        k = max(map(abs, nums)).bit_length() - den.bit_length() + self._slack[len(nums) - 1]
-        if gap <= 0 or gap.bit_length() <= k:
-            return None
-        # d + 1 - v lies in [gap_hi, 2^(2P) - gap_lo] / 2^(2P); round outward
-        return d, gap_hi >> _CARRY_BITS, (1 << _CARRY_BITS) - (gap_lo >> _CARRY_BITS)
 
     def _refresh(self, x):
         """The carry of x read off the private copy of beta, refined by doubling
@@ -429,14 +424,15 @@ def _start(beta: BetaValue, x, precision: PrecisionConfig):
 def _walk(arith, x):
     """The exact orbit after the point x: yields (digit, T(x)), (digit, T^2(x)), ...
 
-    Every digit must lie in 0..floor(beta).  The floor is read after the
-    first step, which has already refined beta's interval past any integer.
+    Every digit must lie in 0..floor(beta).  The floor is read once per
+    arithmetic, after its first step, which has already refined beta's
+    interval past any integer.
     """
-    top = None
+    top = getattr(arith, "top", None)
     while True:
         d, x = arith.step(x)
         if top is None:
-            top = arith.num.floor()
+            top = arith.top = arith.num.floor()
         if not 0 <= d <= top:
             raise InvariantError(f"digit {d} outside 0..floor(beta)")
         yield d, x
@@ -476,8 +472,8 @@ def step(beta, state: ExpansionState) -> ExpansionState:
             raise NegBetaError(f"the orbit state was built for another base than {beta}")
     d, nxt = next(_walk(arith, state.point))
     lo, hi = arith.enclosure(nxt, Fraction(1, 2**state.precision_budget.start_bits))
-    return replace(state, current=(lo, hi), digits_so_far=state.digits_so_far + (d,),
-                   point=nxt, arith=arith)
+    return ExpansionState(current=(lo, hi), digits_so_far=state.digits_so_far + (d,),
+                          precision_budget=state.precision_budget, point=nxt, arith=arith)
 
 
 class DigitStream:
@@ -500,37 +496,40 @@ class DigitStream:
 
     def _find_repeat(self, index: int, key) -> int | None:
         candidates = [i for k in (key - 1, key, key + 1) for i in self._buckets.get(k, ())]
-        if not candidates:
-            return None
         for i in sorted(set(candidates)):
             if i < index and self.arith.equal(self._points[i], self._points[index]):
                 return i
         return None
 
-    def _advance(self):
-        if len(self.digits) >= self.max_digits:
+    def _extend(self, count: int):
+        """Step until count digits or a period are known; past max_digits
+        without a period, raise."""
+        digits, points, buckets, key = self.digits, self._points, self._buckets, self.arith.key
+        todo = max(min(count, self.max_digits) - len(digits), 0)
+        for d, nxt in itertools.islice(self._steps, todo):
+            digits.append(d)
+            points.append(nxt)
+            idx, k = len(digits), key(nxt)
+            if ((k in buckets or k - 1 in buckets or k + 1 in buckets)
+                    and (rep := self._find_repeat(idx, k)) is not None):
+                self.word = _canonical(tuple(digits[:rep]), tuple(digits[rep:]))
+                return
+            buckets.setdefault(k, []).append(idx)
+        if len(digits) < count:
             raise UndecidableAtPrecisionError(
                 f"no certified period within {self.max_digits} digits")
-        d, nxt = next(self._steps)
-        self.digits.append(d)
-        self._points.append(nxt)
-        idx = len(self._points) - 1
-        key = self.arith.key(nxt)
-        rep = self._find_repeat(idx, key)
-        if rep is not None:
-            self.word = _canonical(tuple(self.digits[:rep]), tuple(self.digits[rep:idx]))
-        else:
-            self._buckets.setdefault(key, []).append(idx)
 
     def digit(self, k: int) -> int:
         """k-th expansion digit, 1-based."""
-        while len(self.digits) < k and self.word is None:
-            self._advance()
+        if k < 1:
+            raise IndexError("positions are 1-based")
+        if k > len(self.digits) and self.word is None:
+            self._extend(k)
         return self.digits[k - 1] if k <= len(self.digits) else self.word.digit(k)
 
     def detect_period(self, budget: int) -> EventuallyPeriodicWord | None:
-        while self.word is None and len(self.digits) < budget:
-            self._advance()
+        if self.word is None:
+            self._extend(budget)
         return self.word
 
 

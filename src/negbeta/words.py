@@ -60,6 +60,14 @@ class EventuallyPeriodicWord:
         if self.pre and self.pre[-1] == self.per[-1]:
             raise MalformedWordError("preperiod not minimal; canonicalize first")
 
+    @classmethod
+    def _trusted(cls, pre: Digits, per: Digits) -> "EventuallyPeriodicWord":
+        """The word of a pair known to be canonical, built without the checks."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "pre", pre)
+        object.__setattr__(w, "per", per)
+        return w
+
     @property
     def preperiod_length(self) -> int:
         return len(self.pre)
@@ -81,23 +89,32 @@ class EventuallyPeriodicWord:
         return tuple(self.digit(k) for k in range(1, length + 1))
 
     def tail(self, k: int) -> "EventuallyPeriodicWord":
-        """The shifted word starting at position k (1-based)."""
+        """The shifted word starting at position k (1-based), built canonical
+        as ``distinct_tails`` proves."""
         if k < 1:
             raise IndexError("positions are 1-based")
         q = len(self.pre)
         if k <= q + 1:
-            return _canonical(self.pre[k - 1:], self.per)
+            return self._trusted(self.pre[k - 1:], self.per)
         j = (k - q - 1) % len(self.per)
-        return _canonical((), self.per[j:] + self.per[:j])
+        return self._trusted((), self.per[j:] + self.per[:j])
 
     def distinct_tails(self) -> list["EventuallyPeriodicWord"]:
-        """All tails of the word; every tail equals one of these."""
-        seen = []
-        for k in range(1, len(self.pre) + len(self.per) + 1):
-            t = self.tail(k)
-            if t not in seen:
-                seen.append(t)
-        return seen
+        """All tails of the word, each once: those at positions 1..q+p, since
+        the tail at k + p is the tail at k for k > q.
+
+        Each is built canonical.  A nonempty suffix of the preperiod keeps its
+        last digit, so it still differs from the period's last digit.  A
+        rotation of the primitive period is primitive: r = s^k with k > 1 would
+        make the period a rotation of s^k, a power of a rotation of s.  The
+        rotations are pairwise distinct: two equal ones would make the period
+        invariant under a rotation by some 0 < i < p, hence a power of its
+        prefix of length gcd(i, p) < p.  So the q + p pairs differ, in
+        preperiod length or as distinct rotations.
+        """
+        q, per = len(self.pre), self.per
+        return ([self._trusted(self.pre[i:], per) for i in range(q + 1)]
+                + [self._trusted((), per[j:] + per[:j]) for j in range(1, len(per))])
 
     def max_digit(self) -> int:
         return max(self.pre + self.per)

@@ -97,6 +97,16 @@ def test_digits_bounded_by_floor():
         assert all(0 <= d <= cap for d in digits)
 
 
+def test_digit_stream_positions_are_one_based():
+    stream = dynamics.DigitStream(Fraction(21, 10))
+    assert stream.digit(3) == 0 and stream.digits == [2, 1, 0]
+    for k in (0, -1):
+        with pytest.raises(IndexError):
+            stream.digit(k)
+    with pytest.raises(IndexError):
+        dynamics.DigitStream(Fraction(21, 10)).digit(0)
+
+
 # --- expansion of 1 ------------------------------------------------------------------
 
 def test_expansion_of_one_integer_base():
@@ -554,6 +564,102 @@ def test_a_carried_enclosure_contains_its_point(which, den, num, steps):
         assert a * d <= lo << dynamics._CARRY_BITS and hi << dynamics._CARRY_BITS <= b * d
 
 
+def _mul_beta(arith, x):
+    """beta * x, reduced modulo the defining polynomial, as the step computed
+    it before it built -beta * x in one list."""
+    nums, den = x
+    if len(nums) < arith.deg:
+        return (0, *nums), den
+    c, lead = nums[-1], arith.sf[-1]
+    if lead == 1:
+        out = [a - c * s for a, s in zip((0, *nums[:-1]), arith.sf)]
+    else:
+        out = [lead * a - c * s for a, s in zip((0, *nums[:-1]), arith.sf)]
+        den *= lead
+    while out and out[-1] == 0:
+        out.pop()
+    if lead != 1:
+        g = gcd(den, *out)
+        if g > 1:
+            out = [a // g for a in out]
+            den //= g
+    return tuple(out), den
+
+
+def _carried_floor(arith, x, v):
+    """(d, a, b): the floor of v = beta*x off the carry of x and [a, b] / 2^P
+    around d + 1 - v, or None where the exact step would not decide d at
+    once, as the step computed it before it built -beta * x in one list."""
+    P = dynamics._CARRY_BITS
+    carry = arith._carry if arith._carry and arith._carry[0] is x else arith._refresh(x)
+    if carry is None:
+        return None
+    _, _, a, b = carry
+    _, _, _, bl, bh = arith._twin
+    lo, hi = bl * a, bh * b
+    d = lo >> 2 * P
+    gap_lo, gap_hi = lo - (d << 2 * P), ((d + 1) << 2 * P) - hi
+    gap = min(gap_lo, gap_hi)
+    if arith._slack is None:
+        arith._slack = [(t.bit_length() - row[0][0].bit_length() + 2 + 2 * P
+                         if (t := sum(h - l for l, h in row)) else -math.inf)
+                        for row in arith._powers]
+    nums, den = v
+    k = max(map(abs, nums)).bit_length() - den.bit_length() + arith._slack[len(nums) - 1]
+    if gap <= 0 or gap.bit_length() <= k:
+        return None
+    return d, gap_hi >> P, (1 << P) - (gap_lo >> P)
+
+
+def _composed_step(arith, x):
+    """``_AlgebraicArith.step`` as the composition of ``_mul_beta`` with
+    ``_carried_floor`` or ``_certified_floor``."""
+    v = _mul_beta(arith, x)
+    carried = (_carried_floor(arith, x, v) if arith._exact_steps >= dynamics._CARRY_AFTER
+               and arith.num.interval is arith._interval and arith._bits >= arith._carry_bits
+               else None)
+    if carried is None:
+        arith._exact_steps += 1
+        arith._carry = None
+        d, bounds = arith._certified_floor(v)
+        if bounds is None:
+            return d, arith.one()
+    else:
+        d, a, b = carried
+    nums, den = arith._minus_int(v, d + 1)
+    nxt = [-n for n in nums]
+    while nxt and nxt[-1] == 0:
+        nxt.pop()
+    image = (tuple(nxt), den)
+    if carried is None:
+        lo, hi, D = bounds
+        arith._image = (image, arith._interval, ((d + 1) * D - hi, (d + 1) * D - lo, D))
+    elif b - a <= 1 << (dynamics._CARRY_BITS - dynamics._KEY_BITS):
+        arith._carry = (image, arith._interval, a, b)
+    else:
+        arith._carry = arith._refresh(image)
+    return d, image
+
+
+@given(st.integers(0, len(POWER_TABLE_BASES) - 1), st.integers(1, 2**40), st.integers(0, 2**40),
+       st.integers(dynamics._CARRY_AFTER + 1, 120),
+       st.sampled_from([DEFAULT_PRECISION, dynamics.PrecisionConfig(32, 4096)]))
+@settings(max_examples=60, deadline=None)
+def test_the_one_list_step_equals_the_composed_oracle(which, den, num, steps, precision):
+    beta = POWER_TABLE_BASES[which]()
+    twin = BetaValue(AlgebraicNumber(beta.algebraic.polynomial, beta.algebraic.interval))
+    start = Fraction(num % den + 1, den)
+    arith, x = dynamics._start(beta, start, precision)
+    oracle, y = dynamics._start(twin, start, precision)
+    for _ in range(steps):
+        d, x = arith.step(x)
+        e, y = _composed_step(oracle, y)
+        assert (d, x) == (e, y)
+        assert (arith._carry and arith._carry[2:]) == (oracle._carry and oracle._carry[2:])
+        assert arith._exact_steps == oracle._exact_steps
+        assert arith.num.interval == oracle.num.interval
+
+
 @pytest.mark.parametrize("digits, precision", [
     # the default schedule escalates beta to a 2^-512 interval before digit 2500
     (2500, DEFAULT_PRECISION),
@@ -646,6 +752,25 @@ def test_the_carry_finds_the_same_period(monkeypatch, precision, spec, budget, r
         assert carried[2] == [repeat]
     if spec == LATE_REPEAT:
         assert carried[1] == word("9004667882009131293(5408)")
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("spec, repeat", [
+    ("poly:-1,-1,-1,1:1", 2), (LATE_REPEAT, 19), (EARLY_REPEAT, 11)])
+def test_a_repeat_is_found_when_equal_points_are_keyed_one_apart(monkeypatch, shift, spec,
+                                                                  repeat):
+    def detect():
+        stream = dynamics.DigitStream(parse_beta(spec, DEFAULT_PRECISION), 1, DEFAULT_PRECISION,
+                                      max_digits=101)
+        return stream.detect_period(100), stream.digits
+
+    expected = detect()
+    # the points are keyed in order, from the start point 0; every point after
+    # the repeated one keys shift off, as equal points may
+    calls, real = itertools.count(), dynamics._AlgebraicArith.key
+    monkeypatch.setattr(dynamics._AlgebraicArith, "key",
+                        lambda self, x: real(self, x) + shift * (next(calls) > repeat))
+    assert detect() == expected
 
 
 @pytest.mark.parametrize("spec", [DEGREE_SIX, DEGREE_SEVEN])
@@ -829,6 +954,18 @@ def test_step_reuses_the_orbit_arithmetic_of_its_state(monkeypatch):
     other = parse_beta(DEGREE_SIX, DEFAULT_PRECISION)
     assert step(other, state).digits_so_far[:32] == state.digits_so_far
     assert len(built) == 2
+
+
+def test_the_public_step_reads_floor_beta_once_per_arithmetic(monkeypatch):
+    beta = parse_beta(DEGREE_SIX, DEFAULT_PRECISION)
+    floors = []
+    real = AlgebraicNumber.floor
+    monkeypatch.setattr(AlgebraicNumber, "floor", lambda num: floors.append(num) or real(num))
+    state = initial_state(beta, 1)
+    for _ in range(32):
+        state = step(beta, state)
+    assert floors == [beta.algebraic]
+    assert state.digits_so_far == expansion_of_one(beta, 32, detect_period=False).digits
 
 
 def test_step_at_a_rational_given_as_a_number_builds_one_arithmetic(monkeypatch):

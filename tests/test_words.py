@@ -76,6 +76,37 @@ def test_raw_constructor_rejects_non_canonical():
         W.EventuallyPeriodicWord((1, 0), (1, 0))
 
 
+def _tail_by_canonicalizing(w, k):
+    """``EventuallyPeriodicWord.tail`` before it built tails directly."""
+    q = len(w.pre)
+    if k <= q + 1:
+        return W._canonical(w.pre[k - 1:], w.per)
+    j = (k - q - 1) % len(w.per)
+    return W._canonical((), w.per[j:] + w.per[:j])
+
+
+def _distinct_tails_by_scanning(w):
+    """``EventuallyPeriodicWord.distinct_tails`` before it built tails directly."""
+    seen = []
+    for k in range(1, len(w.pre) + len(w.per) + 1):
+        t = _tail_by_canonicalizing(w, k)
+        if t not in seen:
+            seen.append(t)
+    return seen
+
+
+def test_tails_built_directly_equal_the_canonicalizing_oracle():
+    # the words of the criterion-7 corpus, before it keeps only expansions of 1
+    for w in (w for w in words_over(4, 4, 5) if len(w.pre) + len(w.per) <= 5):
+        tails = w.distinct_tails()
+        assert tails == _distinct_tails_by_scanning(w)
+        for k in range(1, len(w.pre) + 2 * len(w.per) + 2):
+            assert w.tail(k) == _tail_by_canonicalizing(w, k)
+        # every tail built without the checks passes them
+        for t in tails:
+            assert W.EventuallyPeriodicWord(t.pre, t.per) == t
+
+
 @given(canonical_words())
 def test_digit_stream_matches_canonical_form(w):
     expanded = canonicalize(w.prefix(len(w.pre) + 2 * len(w.per)), w.per)
