@@ -47,17 +47,6 @@ def _strip(c: list[int]) -> Coeffs:
     return tuple(c)
 
 
-def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _strip(out)
-
-
 def _deriv(a: Coeffs) -> Coeffs:
     return tuple(i * x for i, x in enumerate(a) if i >= 1)
 

@@ -91,9 +91,10 @@ class SearchInconclusiveError(NegBetaError):
 
 
 class ConstructionFailedError(NegBetaError):
-    """Inverse construction failed under both closing-rule conventions.
+    """The permutation the inverse construction built does not map back to
+    its word.
 
-    Never raised silently: both candidate permutations travel along for
+    Never raised silently: that one candidate permutation travels along for
     diagnosis.
     """
 

@@ -2,13 +2,12 @@
 realization threshold is exactly that base.
 
 The construction ranks the tails of the expansion, stretches the resulting
-small permutation by inserting extra letters (the y counts below), and puts
-the leftover values at the front in increasing order.  The insertion recursion
-is given by a case display whose guards overlap and leave one configuration
-uncovered; the constructor therefore branches the doubtful clauses in a fixed
-order and keeps the first candidate whose forward analysis maps back to the
-input word exactly, so correctness rests on the certified round trip and
-never on a guessed reading.
+small permutation by inserting extra letters (the y counts of one insertion
+rule, ``_insertion_counts``), and puts the leftover values at the front in
+increasing order.  The printed case display of the insertion recursion has
+overlapping guards and silent configurations; the rule settles both.  The
+forward analysis of the one permutation built must map back to the input word
+exactly, so correctness rests on the certified round trip, never on the rule.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from .dynamics import DEFAULT_PRECISION, PrecisionConfig, expansion_base
 from .errors import ConstructionFailedError, DegenerateExpansionError, NegBetaError
 from .permutations import Permutation, rank_positions, skeleton
 from .words import EventuallyPeriodicWord
-
-CANDIDATE_CAP = 50000
 
 
 @dataclass(frozen=True)
@@ -70,89 +67,57 @@ def rho_of(w: EventuallyPeriodicWord) -> Permutation:
     return Permutation(tuple(image))
 
 
-def _display_value(d: int, rank: int, ri1: int, rj1: int, some_pos: bool) -> int | None:
-    """The insertion count according to the printed case display, read top to
-    bottom; None on the uncovered configuration."""
-    if d == 0:
-        return 0
-    if d == 1:
-        if ri1 < rj1:
-            return 0
-        if ri1 < rank or some_pos:
-            return 1
-        if ri1 > rank and not some_pos:
-            return 2
-        return None
-    if d == 2 and ri1 < rank and some_pos:
-        return 1
-    if ri1 < rank or some_pos:
-        return d
-    if ri1 > rank and some_pos:
-        return d + 1
-    if d >= 3 and ri1 < rank and not some_pos:
-        return d - 1
-    return None
+def _insertion_counts(w: EventuallyPeriodicWord, rho: Permutation) -> tuple[tuple[int, ...], bool]:
+    """The insertion counts y (indexed by position) and whether the closing
+    rank took the vacuous bonus.
 
+    With ``q, p, digits = w.padded_form()`` and ``size = p + q``, the ranks
+    go from ``size`` down to 2.  Rank ``rank`` sits at position j and rank
+    ``rank - 1`` at position i; ``d = digits[j] - digits[i]``, ``ri1`` and
+    ``rj1`` are the ranks at positions i + 1 and j + 1 (position size + 1
+    reads as q + 1), and ``some_pos`` says that a count is positive among the
+    ranks in ``(rank, rj1]``.  Then ``y_j = 0`` when ``d == 0``, or when
+    ``d == 1`` and ``ri1 < rj1``; otherwise ``y_j = d + 1 - [ri1 < rank] -
+    [some_pos]``.  At position p of a purely periodic word with even p,
+    ``some_pos`` counts as true (the slot clause).  The closing rank, at
+    position j1, gets ``digits[j1]`` plus a bonus: 0 at position p of such a
+    word; else 1 when its range, the ranks 2..rho(j1 + 1), is nonempty and
+    all zero; else, with an empty range, 1 exactly when ``j1 == size``, the
+    preperiod is nonempty and ``digits[j1] >= 1`` (the vacuous bonus).
 
-def y_digits(w: EventuallyPeriodicWord, rho: Permutation,
-             vacuous_bonus: bool = False) -> tuple[int, ...]:
-    """Insertion counts, assigned downward from the top rank: the literal
-    display reading, the first vector of the candidate search (its second when
-    vacuous_bonus applies to an empty closing range).  Raises on the uncovered
-    guard configuration; ``construct_state(w).y`` is the certified vector."""
-    (y, _, silent), (flipped, vacuous, _) = itertools.islice(_y_vector_candidates(w, rho), 2)
-    if silent is not None:
-        raise NegBetaError(f"no insertion rule matches at rank {silent} for {w} (rho={rho})")
-    return flipped if vacuous_bonus and vacuous else y
-
-
-def _y_vector_candidates(w: EventuallyPeriodicWord, rho: Permutation):
-    """All insertion vectors in deterministic plausibility order, as triples
-    (y, vacuous, silent).
-
-    Each rank tries the printed reading first, then the other counts within
-    d + 2; where the display is silent (difference at least two, successor
-    rank above, no positive count in range) it starts at d + 1, the value
-    the certified round trips select in practice, and silent names the top
-    such rank of the vector.  The closing rank tries the display bonus, then
-    its flip; with an empty range it tries no bonus, then the vacuous one."""
+    This is the printed display with its silent configurations read as
+    ``d + 1`` and its ``d == 2`` clause read as ``d - 1`` for every d >= 2.
+    It gives the vector the former candidate search chose (the first whose
+    round trip reproduced w, kept as ``tests/inverse_oracle.py``) on every
+    expansion of ``words_over`` at (alphabet, preperiod, period, length)
+    (4, 5, 6, 7), (5, 5, 6, 7), (3, 7, 8, 9), (6, 3, 4, 5), (7, 3, 3, 4) and
+    (8, 2, 3, 4), and on the 260 sup-fixed non-expansions of the first, with
+    no mismatch (``scripts/inverse_rule_evidence.py``).
+    """
     q, p, digits = w.padded_form()
     size = p + q
-    img, inv = rho.image, rho.inverse()
-
-    def rho_ext(k: int) -> int:
-        return img[k - 1] if k <= size else img[q]
-
-    order = [inv[rank - 1] for rank in range(size, 1, -1)]
-    j1 = inv[0]
-    y: dict[int, int] = {}
-
-    def rec(idx: int, silent: int | None):
-        if idx == len(order):
-            top = rho_ext(j1 + 1)
-            in_range = [y[k] for k in range(1, size + 1) if 1 < img[k - 1] <= top]
-            display = 1 if in_range and all(v == 0 for v in in_range) else 0
-            for bonus in (display, 1 - display):
-                y[j1] = digits[j1 - 1] + bonus
-                yield tuple(y[k] for k in range(1, size + 1)), not in_range and bonus == 1, silent
-            del y[j1]
-            return
-        j = order[idx]
-        rank = img[j - 1]
-        i = inv[rank - 2]
+    ext = rho.image + (rho.image[q],)
+    at = rho.inverse()
+    slot = p if not w.pre and p % 2 == 0 else None
+    by_rank = [0] * (size + 1)
+    for rank in range(size, 1, -1):
+        j, i = at[rank - 1], at[rank - 2]
         d = digits[j - 1] - digits[i - 1]
-        ri1, rj1 = rho_ext(i + 1), rho_ext(j + 1)
-        some_pos = any(v >= 1 for k, v in y.items() if rank < img[k - 1] <= rj1)
-        first = _display_value(d, rank, ri1, rj1, some_pos)
-        if first is None:
-            first, silent = d + 1, silent or rank
-        for cand in dict.fromkeys((first, d, d + 1, d - 1, d + 2, 0, 1, 2)):
-            if 0 <= cand <= d + 2:
-                y[j] = cand
-                yield from rec(idx + 1, silent)
-        del y[j]
-
-    yield from rec(0, None)
+        ri1, rj1 = ext[i], ext[j]
+        if d == 0 or (d == 1 and ri1 < rj1):
+            continue
+        some_pos = j == slot or any(by_rank[rank + 1:rj1 + 1])
+        by_rank[rank] = d + 1 - (ri1 < rank) - some_pos
+    j1 = at[0]
+    top = ext[j1]
+    if j1 == slot:
+        bonus = 0
+    elif top >= 2:
+        bonus = int(not any(by_rank[2:top + 1]))
+    else:
+        bonus = int(j1 == size and bool(w.pre) and digits[j1 - 1] >= 1)
+    by_rank[1] = digits[j1 - 1] + bonus
+    return tuple(by_rank[r] for r in rho.image), top < 2 and bonus == 1
 
 
 def _assemble(rho: Permutation, y: tuple[int, ...]) -> Permutation:
@@ -172,38 +137,32 @@ def construct_state(w: EventuallyPeriodicWord, check_expansion: bool = True,
                     precision: PrecisionConfig = DEFAULT_PRECISION) -> InverseState:
     """Full inverse construction with the certified round trip.
 
-    Candidate insertion vectors are tried in a fixed order and the first one
-    whose forward analysis reproduces w exactly wins; the threshold base then
-    agrees at the level of the defining polynomial automatically.
+    The insertion rule gives one vector, and the permutation assembled from
+    it must map back to w exactly (``skeleton(pi).a == w``); the threshold
+    base then agrees at the level of the defining polynomial automatically.
+    Otherwise ``ConstructionFailedError`` carries that permutation.
 
     With check_expansion, ``dynamics.expansion_base`` decides w at the given
-    precision before the search and returns b(w).  The result carries the
-    skeleton of its round trip and that base (None without the check) as
-    ``_round_trip``, so ``analysis.analyze`` of it isolates no root again."""
+    precision first and returns b(w).  The result carries the skeleton of its
+    round trip and that base (None without the check) as ``_round_trip``, so
+    ``analysis.analyze`` of it isolates no root again."""
     b = None
     if check_expansion and (b := expansion_base(w, precision)) is None:
         raise NegBetaError(f"{w} is not the expansion of 1 in its own base")
     q, p, _ = w.padded_form()
     rho = rho_of(w)
-    first_candidates = []
-    for count, (y, vacuous, _) in enumerate(_y_vector_candidates(w, rho)):
-        if count >= CANDIDATE_CAP:
-            break
-        pi = _assemble(rho, y)
-        if count < 2:
-            first_candidates.append(pi)
-        sk = skeleton(pi)
-        if sk.a == w:
-            # an equal copy carries the round trip, so that the skeleton,
-            # which holds pi, leaves no reference cycle through the result
-            result = Permutation(pi.image)
-            object.__setattr__(result, "_round_trip", (sk, b))
-            return InverseState(w=w, q=q, p=p, rho=rho, y=y, c=sum(y),
-                                result=result, vacuous_bonus=vacuous)
-    raise ConstructionFailedError(
-        f"round trip failed for {w} under every candidate insertion vector",
-        candidates=tuple(first_candidates),
-    )
+    y, vacuous = _insertion_counts(w, rho)
+    pi = _assemble(rho, y)
+    sk = skeleton(pi)
+    if sk.a != w:
+        raise ConstructionFailedError(
+            f"round trip failed for {w}: {pi} has threshold word {sk.a}", candidates=(pi,))
+    # an equal copy carries the round trip, so that the skeleton, which holds
+    # pi, leaves no reference cycle through the result
+    result = Permutation(pi.image)
+    object.__setattr__(result, "_round_trip", (sk, b))
+    return InverseState(w=w, q=q, p=p, rho=rho, y=y, c=sum(y), result=result,
+                        vacuous_bonus=vacuous)
 
 
 def construct_pi(w: EventuallyPeriodicWord) -> Permutation:

@@ -124,10 +124,6 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(image)
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def all_permutations(n: int):
     """S_n in lexicographic order."""
     for image in itertools.permutations(range(1, n + 1)):

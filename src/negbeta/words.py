@@ -169,7 +169,10 @@ def canonicalize(preperiod, period) -> EventuallyPeriodicWord:
 
 def _canonical(pre: Digits, per: Digits) -> EventuallyPeriodicWord:
     """canonicalize for tuples of non-negative int digits, which it takes
-    as they are: the library's own digits need no validation."""
+    as they are: the library's own digits need no validation.  The pair it
+    makes has a primitive period (a rotation of a primitive root) and a
+    preperiod that no longer ends with the period's last digit, so the word
+    skips the checks of ``__post_init__``."""
     if not per:
         raise MalformedWordError("empty period")
     per = list(primitive_root(per)[0])
@@ -177,7 +180,7 @@ def _canonical(pre: Digits, per: Digits) -> EventuallyPeriodicWord:
     while pre and pre[-1] == per[-1]:
         pre.pop()
         per = [per[-1]] + per[:-1]
-    return EventuallyPeriodicWord(tuple(pre), tuple(per))
+    return EventuallyPeriodicWord._trusted(tuple(pre), tuple(per))
 
 
 def word(literal: str) -> EventuallyPeriodicWord:
@@ -432,7 +435,8 @@ def words_over(alphabet_size: int, pre_max: int, per_max: int):
 
     Yields each underlying sequence exactly once, as its canonical pair: a
     primitive period, and a preperiod that does not end with the period's
-    last digit.
+    last digit.  Both are checked here, so the words skip the checks of
+    ``__post_init__``.
     """
     digits = range(alphabet_size)
     for q in range(pre_max + 1):
@@ -440,4 +444,4 @@ def words_over(alphabet_size: int, pre_max: int, per_max: int):
             for pre in itertools.product(digits, repeat=q):
                 for per in itertools.product(digits, repeat=p):
                     if (not pre or pre[-1] != per[-1]) and primitive_root(per)[1] == 1:
-                        yield EventuallyPeriodicWord(pre, per)
+                        yield EventuallyPeriodicWord._trusted(pre, per)

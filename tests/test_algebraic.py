@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sturm_oracle
+from coeffs import _mul
 from negbeta import algebraic
 from negbeta.algebraic import (
     AlgebraicNumber,
@@ -26,7 +27,6 @@ from negbeta.algebraic import (
     root_upper_bound,
     shift_root,
     _has_root,
-    _mul,
     _outside_and_on,
     _roots_not_integral,
     _sign_at,

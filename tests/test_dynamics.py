@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sturm_oracle
+from coeffs import _mul
 from negbeta import dynamics
 from negbeta.algebraic import (
     AlgebraicNumber,
     IntPolynomial,
-    _mul,
     _over_common_denominator,
     _poly_gcd,
     _sign_at,

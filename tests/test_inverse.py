@@ -7,10 +7,13 @@ import pytest
 from negbeta import algebraic, analysis, dynamics, inverse, permutations
 from negbeta.analysis import analyze
 from negbeta.dynamics import validate_expansion
-from negbeta.errors import NegBetaError
-from negbeta.inverse import _display_value, construct_pi, construct_state, rho_of, y_digits
+from negbeta.errors import ConstructionFailedError, NegBetaError
+from negbeta.inverse import construct_pi, construct_state, rho_of
 from negbeta.permutations import Permutation
 from negbeta.words import canonicalize, word, words_over
+
+import inverse_oracle
+from inverse_oracle import _display_value, y_digits
 
 
 def test_rho_of_pure_integer_expansion():
@@ -314,4 +317,37 @@ def test_assemble_equals_the_quadratic_oracle_on_every_candidate_tried(monkeypat
     monkeypatch.setattr(inverse, "_assemble", checked)
     for w in corpus:
         assert analyze(construct_state(w, check_expansion=False).result).a == w
-    assert len(corpus) > 100 and len(tried) > len(corpus)
+    assert len(corpus) > 100 and len(tried) == len(corpus)
+
+
+def _expansions(alphabet_size, pre_max, per_max, max_len):
+    return [w for w in words_over(alphabet_size, pre_max, per_max)
+            if w.preperiod_length + w.period_length <= max_len and _safe_validate(w)]
+
+
+@pytest.mark.parametrize("corpus, size, late", [
+    ((4, 4, 5, 5), 822, 15),   # criterion 7
+    ((6, 3, 4, 5), 4254, 92),  # the d >= 3 case of the d - 1 clause occurs
+])
+def test_insertion_rule_gives_the_first_round_trip_winner_of_the_search(corpus, size, late):
+    words = _expansions(*corpus)
+    assert len(words) == size
+    found = 0
+    for w in words:
+        y, vacuous, pi, index = inverse_oracle.search(w)
+        state = construct_state(w, check_expansion=False)
+        assert (state.y, state.vacuous_bonus, state.result) == (y, vacuous, pi), str(w)
+        found += index > 0
+    # words the search won only after its first candidate: where the rule
+    # departs from the literal display
+    assert found == late
+
+
+@pytest.mark.parametrize("literal", ["(01)", "0(12)", "(012)"])
+def test_a_failed_round_trip_carries_its_one_candidate(literal):
+    w = word(literal)
+    with pytest.raises(ConstructionFailedError) as err:
+        construct_state(w, check_expansion=False)
+    (pi,) = err.value.candidates
+    assert analyze(pi).a != w
+    assert err.value.payload()["candidates"] == [str(pi)]

@@ -117,3 +117,12 @@ def test_cli_equivalence_script_prints_one_timeless_json_line_per_run():
     envelopes = [r[stream] for r in runs for stream in ("stdout", "stderr")
                  if isinstance(r[stream], dict)]
     assert envelopes and not any("timing_ms" in e for e in envelopes)
+
+
+def test_inverse_rule_evidence_quick_run_finds_no_mismatch():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "inverse_rule_evidence.py"), "--quick"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:6] == ["corpus", "kind", "words", "late", "mismatch", "failed"]
+    assert [row.split()[:6] for row in rows] == [["7,3,3,4", "expansions", "1606", "25", "0", "0"]]

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sturm_oracle
+from coeffs import _mul
 from negbeta import algebraic, words
 from negbeta.algebraic import (
     IntPolynomial,
     _deriv,
     _exact_div,
-    _mul,
     _poly_gcd,
     _primitive,
     _squarefree_part,

@@ -69,6 +69,28 @@ def test_library_constructor_matches_canonicalize(pre, per):
     assert W._canonical(tuple(pre), tuple(per)) == canonicalize(pre, per)
 
 
+def _validating_canonical(pre, per):
+    """``words._canonical`` before it skipped the checks: the same reduction,
+    with the word built through ``__post_init__``."""
+    per = list(W.primitive_root(per)[0])
+    pre = list(pre)
+    while pre and pre[-1] == per[-1]:
+        pre.pop()
+        per = [per[-1]] + per[:-1]
+    return W.EventuallyPeriodicWord(tuple(pre), tuple(per))
+
+
+def test_canonical_equals_the_validating_construction():
+    pairs = 0
+    for q in range(4):
+        for p in range(1, 5):
+            for pre in itertools.product(range(3), repeat=q):
+                for per in itertools.product(range(3), repeat=p):
+                    assert W._canonical(pre, per) == _validating_canonical(pre, per), (pre, per)
+                    pairs += 1
+    assert pairs == 40 * 120
+
+
 def test_raw_constructor_rejects_non_canonical():
     with pytest.raises(MalformedWordError):
         W.EventuallyPeriodicWord((1,), (0, 0))
@@ -406,3 +428,6 @@ def test_words_over_yields_each_sequence_once_in_first_occurrence_order(alphabet
                                                                         per_max):
     assert list(words_over(alphabet_size, pre_max, per_max)) == \
         list(_words_over_by_dedup(alphabet_size, pre_max, per_max))
+    # every word built without the checks passes them
+    for w in words_over(alphabet_size, pre_max, per_max):
+        assert W.EventuallyPeriodicWord(w.pre, w.per) == w
