@@ -2,16 +2,19 @@
 attached to eventually periodic digit words.
 
 Root isolation is exact.  A rational is a point interval (r, r), with no
-separate exact value; rational roots, found by the rational root test, are
-divided out of the squarefree part, so the part left has only irrational
-roots and no rational grid point is one of them.
-Its roots are isolated on the midpoint grid of the interval by Descartes'
+separate exact value.  Rational roots are divided out before the walk, so
+no rational grid point is a root of the part it walks on: in general they
+are found by the rational root test and divided out of the squarefree part.
+The characteristic polynomial of a threshold word is monic, so ``b_of``
+divides out only x and the integer roots from 1 to the digit bound d + 1,
+each with its multiplicity, and takes no squarefree part.
+The roots are isolated on the midpoint grid of the interval by Descartes'
 rule of signs (Collins-Akritas; Rouillier-Zimmermann): a cell mapped onto
 (0, 1) with no sign variation holds no root, one with one variation holds
-exactly one, and any other cell is split.  The walk goes from the top, so
-the roots come greatest first, and the threshold base needs only the first.
-``b_of`` first certifies the digit bound d + 1 by Descartes' rule and then
-skips the grid above it.
+exactly one, counted with multiplicity, so a simple one, and any other cell
+is split.  The walk goes from the top, so the roots come greatest first,
+and the threshold base needs only the first.  ``b_of`` first certifies the
+digit bound by Descartes' rule and then skips the grid above it.
 
 ``refine`` lands on the cell of the bisection grid that bisection would
 reach: once Descartes' rule shows the interval holds exactly one root,
@@ -106,10 +109,10 @@ def _sign_at(a: Coeffs, x: Fraction) -> int:
 
 
 def _has_root(g: Coeffs, lo: Fraction, hi: Fraction) -> bool:
-    """Does g vanish somewhere in [lo, hi]?  Exact when g divides the
-    squarefree part of a number that [lo, hi] isolates: g then has at most
-    one root there, and a simple one, so a root shows as a sign change or a
-    zero at an end."""
+    """Does g vanish somewhere in [lo, hi]?  Exact when g divides a
+    polynomial with a number as a simple root, the only one in [lo, hi]:
+    g then has at most one root there, and a simple one, so a root shows as
+    a sign change or a zero at an end."""
     return _sign_at(g, lo) * _sign_at(g, hi) <= 0
 
 
@@ -185,6 +188,41 @@ def _squarefree_part(a: Coeffs) -> Coeffs:
         g = _poly_gcd(a, d)
         out = _primitive(a) if len(g) == 1 else _exact_div(a, g)
     return out if out[-1] > 0 else tuple(-c for c in out)
+
+
+def _div_root(a: Coeffs, t: int) -> tuple[Coeffs, int]:
+    """Quotient and remainder of a by x - t, by one Horner pass."""
+    out = [0] * (len(a) - 1)
+    acc = 0
+    for i in range(len(a) - 1, 0, -1):
+        acc = acc * t + a[i]
+        out[i - 1] = acc
+    return tuple(out), acc * t + a[0]
+
+
+def _times_root(a: Coeffs, t: int) -> Coeffs:
+    """(x - t) a."""
+    return tuple(u - t * v for u, v in zip((0, *a), (*a, 0)))
+
+
+def _strip_integer_roots(a: Coeffs, top: int) -> tuple[Coeffs, list[int]]:
+    """A monic a with the factor x and every integer root in 1..top divided
+    out, with multiplicity; and the distinct roots divided out, ascending.
+
+    A rational root of a monic integer polynomial is an integer dividing
+    its constant term, so only those t are tried.
+    """
+    k = next(i for i, c in enumerate(a) if c)
+    a, roots = a[k:], [0] if k else []
+    for t in range(1, top + 1):
+        while len(a) > 1 and a[0] % t == 0:
+            q, r = _div_root(a, t)
+            if r:
+                break
+            a = q
+            if roots[-1:] != [t]:
+                roots.append(t)
+    return a, roots
 
 
 def _exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -452,14 +490,18 @@ _COMPARE_WIDTH = Fraction(1, 2**24)
 class AlgebraicNumber:
     """A real root of an integer polynomial, given by an isolating interval.
 
-    ``interval`` is a pair of rationals enclosing exactly one root of the
-    squarefree part, with a sign change across it; ``refine`` shrinks it
-    monotonically (nested intervals), which is safe to repeat concurrently.
-    A rational is the point interval (r, r), however it was built.
+    ``interval`` is a pair of rationals enclosing exactly one root of
+    ``_sf``, a simple one, with a sign change across it; ``refine`` shrinks
+    it monotonically (nested intervals), which is safe to repeat
+    concurrently.  A rational is the point interval (r, r), however it was
+    built.
     """
 
     polynomial: IntPolynomial
     interval: tuple[Fraction, Fraction]
+    # a polynomial with the number as a simple root, the only one in the
+    # interval: the squarefree part unless given; b_of gives the
+    # characteristic polynomial with x and its integer roots divided out
     _sf: Coeffs = field(default=(), repr=False)
     # set once Descartes' rule has shown the interval holds one root of _sf
     _unique: bool = field(default=False, repr=False)
@@ -484,8 +526,8 @@ class AlgebraicNumber:
 
     def refine(self, tol: Fraction | float = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
         """Bisect the interval until it is at most tol wide; a midpoint where
-        the squarefree part vanishes becomes the point interval.  Deep
-        refinements land on the same cell with Newton steps (see _land)."""
+        _sf vanishes becomes the point interval.  Deep refinements land on
+        the same cell with Newton steps (see _land)."""
         if not isinstance(tol, Fraction):
             tol = Fraction(tol)
         if tol.numerator <= 0:
@@ -511,9 +553,9 @@ class AlgebraicNumber:
         return self.interval
 
     def _one_root(self, L: int, H: int, den: int, s_lo: int) -> bool:
-        """Does (L/den, H/den) hold exactly one root of the squarefree part,
-        with nonzero opposite signs at its ends?  Descartes' rule decides it
-        once; nested intervals keep the answer."""
+        """Does (L/den, H/den) hold exactly one root of _sf, counted with
+        multiplicity, with nonzero opposite signs at its ends?  Descartes'
+        rule decides it once; nested intervals keep the answer."""
         if not s_lo or _sign_hom(self._sf, H, den) != -s_lo:
             return False
         if not self._unique:
@@ -522,8 +564,8 @@ class AlgebraicNumber:
 
     def _side(self, r) -> int:
         """Sign of self - r for a rational r, exact.  Outside the interval its
-        ends decide; inside, the one root of the squarefree part there lies
-        above r when the part has the same sign at r as at lo.  A zero sign
+        ends decide; inside, the one root of _sf there, a simple one, lies
+        above r when _sf has the same sign at r as at lo.  A zero sign
         means r is the number, then refined to _COMPARE_WIDTH as equals does."""
         lo, hi = self.interval
         if r < lo or r > hi:
@@ -668,22 +710,49 @@ def _rational_roots(a: Coeffs) -> list[Fraction]:
 
 
 class _Isolation:
-    """Root isolation on (lo, hi]: the squarefree part, its rational roots
-    (kept exact) and the part left after dividing them out, which has only
-    irrational roots, so no grid point is one of them."""
+    """Root isolation on (lo, hi]: the rational roots there, kept exact, and
+    a part of the polynomial with none of its rational roots, so no grid
+    point is a root of the part the walk decides cells on.
 
-    def __init__(self, poly: IntPolynomial, lo: Fraction, hi: Fraction):
+    By default that part is the squarefree part with every rational root
+    divided out.  With ``monic_to = m`` the polynomial must be monic, so its
+    rational roots are integers: the factor x and the integer roots in 1..m
+    are divided out with multiplicity, with no squarefree part taken, and
+    the part keeps no rational root in (0, hi] when no root exceeds m.
+    """
+
+    def __init__(self, poly: IntPolynomial, lo: Fraction, hi: Fraction,
+                 monic_to: int | None = None):
         self.poly, self.lo, self.hi = poly, lo, hi
-        self.sf = sf = _squarefree_part(poly.coefficients)
-        all_rats = _rational_roots(sf) if len(sf) > 1 else []
+        if monic_to is None:
+            self.sf = sf = _squarefree_part(poly.coefficients)
+            all_rats = _rational_roots(sf) if len(sf) > 1 else []
+            deflated = sf
+            for r in all_rats:
+                deflated = _exact_div(deflated, (-r.numerator, r.denominator))
+            self.stripped = None
+        else:
+            self.sf = None  # built when a rational root needs it
+            deflated, self.stripped = _strip_integer_roots(poly.coefficients, monic_to)
+            all_rats = [Fraction(t) for t in self.stripped]
         self.rats = [r for r in all_rats if lo < r <= hi]
-        # Deflate every rational root so bisection only ever sees irrational ones.
-        deflated = sf
-        for r in all_rats:
-            deflated = _exact_div(deflated, (-r.numerator, r.denominator))
         self.deflated = deflated
+        self.squarefree = monic_to is None
+
+    def _monic_squarefree_part(self) -> Coeffs:
+        """The squarefree part of the monic polynomial: the deflated part
+        times x - t once per root t divided out, when a modular certificate
+        (as in _squarefree_part) shows the deflated part squarefree."""
+        out = self.deflated
+        if not self.squarefree and len(out) > 1 and not _coprime_mod(out, _deriv(out)):
+            return _squarefree_part(self.poly.coefficients)
+        for t in self.stripped:
+            out = _times_root(out, t)
+        return out
 
     def exact_roots(self) -> list[AlgebraicNumber]:
+        if self.rats and self.sf is None:
+            self.sf = self._monic_squarefree_part()
         return [AlgebraicNumber(self.poly, (r, r), _sf=self.sf) for r in self.rats]
 
     def _clear_rationals(self, root: AlgebraicNumber) -> AlgebraicNumber:
@@ -706,29 +775,41 @@ class _Isolation:
 
         Walks the midpoint grid of (lo, hi] from the top, deciding each cell
         by Descartes' rule on the deflated part: no sign variation, no root;
-        one, exactly one, which comes next; more, split the cell.  Every cell
-        above one that yields is proven empty.  With a top that bounded_by
-        has certified, cells whose lower end is at or above top are skipped
-        unseen.
+        one, exactly one, and a simple one, which comes next; more, split the
+        cell.  Every cell above one that yields is proven empty.  With a top
+        that bounded_by has certified, cells whose lower end is at or above
+        top are skipped unseen.  A repeated root keeps its cells at two
+        variations or more, so the first cell narrower than _COMPARE_WIDTH
+        that still has them makes the walk go on with the squarefree part.
         """
-        deflated = self.deflated
-        if len(deflated) <= 1:
+        if len(self.deflated) <= 1:
             return
         (L, H), den = _over_common_denominator((self.lo, self.hi))
-        w, n = H - L, len(deflated) - 1
+        w = H - L
 
         def below_top(k: int, j: int) -> bool:  # the lower end of cell j of level k
             return top is None or (L << k) + j * w < top * den << k
 
+        def on_unit(k: int, j: int) -> list[int]:
+            a = (L << k) + j * w
+            return _on_unit(self.deflated, a, a + w, den << k)
+
         # a cell is (level, index, its polynomial mapped onto (0, 1))
-        stack = [(0, 0, _on_unit(deflated, L, H, den))] if below_top(0, 0) else []
+        stack = [(0, 0, on_unit(0, 0))] if below_top(0, 0) else []
+        n = len(self.deflated) - 1
         while stack:
             k, j, p = stack.pop()
             v = _unit_variations(p)
+            if v > 1 and not self.squarefree and \
+                    w * _COMPARE_WIDTH.denominator < _COMPARE_WIDTH.numerator * (den << k):
+                self.deflated, self.squarefree = _squarefree_part(self.deflated), True
+                n = len(self.deflated) - 1
+                stack = [(lv, ix, on_unit(lv, ix)) for lv, ix, _ in [*stack, (k, j, p)]]
+                continue
             if v == 1:
                 a = (L << k) + j * w
                 root = AlgebraicNumber(self.poly, (Fraction(a, den << k), Fraction(a + w, den << k)),
-                                       _sf=deflated, _unique=True)
+                                       _sf=self.deflated, _unique=True)
                 yield self._clear_rationals(root)
             elif v:
                 half = [c << (n - i) for i, c in enumerate(p)]  # 2^n p(x / 2)
@@ -779,9 +860,13 @@ def b_of(w: EventuallyPeriodicWord) -> AlgebraicNumber:
     or below the substitution fixed point u, otherwise the largest root above
     1 of the characteristic polynomial (which then always exists).
 
-    The base never exceeds the largest digit plus one.  When Descartes' rule
-    certifies that bound on the polynomial, the walk skips the grid above it;
-    otherwise the root is found on the whole grid and compared with it.
+    The polynomial is monic, so its only rational roots are integers, and
+    the base never exceeds top, the largest digit plus one.  The isolation
+    divides out x and the integer roots in 1..top and takes no squarefree
+    part.  When Descartes' rule certifies top as a bound on the roots, no
+    grid point left is a root and the walk skips the grid above top;
+    otherwise the integer roots up to the root bound are divided out too,
+    and the root found on the whole grid is compared with top.
     """
     if not words.is_sup_fixed(w):
         raise SupNotFixedError(f"{w} is not the sup of its shifts")
@@ -789,8 +874,11 @@ def b_of(w: EventuallyPeriodicWord) -> AlgebraicNumber:
         return AlgebraicNumber.from_rational(1)
     poly = char_polynomial(w)
     top = w.max_digit() + 1
-    iso = _Isolation(poly, Fraction(1), root_upper_bound(poly))
+    bound = root_upper_bound(poly)
+    iso = _Isolation(poly, Fraction(1), bound, monic_to=top)
     certified = iso.bounded_by(top)
+    if not certified:
+        iso = _Isolation(poly, Fraction(1), bound, monic_to=bound.numerator)
     root = iso.largest(top if certified else None)
     if root is None:
         raise InvariantError(f"no root above 1 for {w}")
@@ -845,8 +933,10 @@ def _outside_and_on(f: Coeffs, r: Fraction) -> tuple[int, int]:
 def _conjugate_part(num: AlgebraicNumber) -> Coeffs | None:
     """num's squarefree part with the factor x and every cyclotomic factor
     Phi_k divided out, or None unless that part is monic and num > 1.  Phi_k
-    divides x^k - 1 and has degree phi(k) >= sqrt(k / 2)."""
-    f = num._sf
+    divides x^k - 1 and has degree phi(k) >= sqrt(k / 2).  The squarefree
+    part is taken of _sf, which need not be squarefree (see b_of), because
+    _outside_and_on counts roots of a squarefree polynomial."""
+    f = _squarefree_part(num._sf)
     if abs(f[-1]) != 1 or num.compare(1) <= 0:
         return None
     f = f[next(i for i, c in enumerate(f) if c):]

@@ -44,7 +44,7 @@ def parse_beta(text: str, precision: PrecisionConfig) -> BetaValue:
         raise MalformedBaseError("the zero polynomial has no roots")
     roots = isolate_real_roots(poly, Fraction(1), root_upper_bound(poly))
     if not 1 <= k <= len(roots):
-        raise NegBetaError(
+        raise MalformedBaseError(
             f"polynomial has {len(roots)} real roots above 1; index {k} out of range")
     return BetaValue.from_algebraic(roots[k - 1])
 

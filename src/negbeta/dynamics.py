@@ -146,7 +146,7 @@ class _AlgebraicArith:
     the defining polynomial q x - p.
 
     A point is a pair (nums, den): the integer numerators of the coefficients
-    of a polynomial in beta of degree below the squarefree defining
+    of a polynomial in beta of degree below that of num._sf, the defining
     polynomial, over one shared positive denominator.  Values (not
     representations) are compared, so a reducible defining polynomial cannot
     corrupt equality decisions.

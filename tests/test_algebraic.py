@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import subprocess
@@ -238,6 +239,86 @@ def test_b_of_without_the_certificate_finds_the_same_root(monkeypatch):
     monkeypatch.setattr(algebraic._Isolation, "bounded_by", lambda iso, top: False)
     for a, want in zip(threshold_words, certified):
         _same_root(b_of(a), want)
+
+
+def _criterion_7_corpus():
+    from negbeta.dynamics import validate_expansion
+    from negbeta.words import words_over
+
+    def expansion(w):
+        try:
+            return validate_expansion(w)
+        except NegBetaError:
+            return False
+
+    return [w for w in words_over(4, 4, 5)
+            if w.preperiod_length + w.period_length <= 5 and expansion(w)]
+
+
+def test_b_of_equals_the_squarefree_isolation_on_the_corpus_and_threshold_words():
+    corpus, threshold_words = _criterion_7_corpus(), _threshold_words(7)
+    assert len(corpus) == 822
+    above_u = [w for w in corpus + threshold_words if compare_with_u(w) > 0]
+    for a in above_u:
+        got, want = b_of(a), largest_root_gt1(char_polynomial(a))
+        assert got.polynomial == want.polynomial and got._sf == want._sf, a
+        assert got.refine(Fraction(1, 2**24)) == want.refine(Fraction(1, 2**24)), a
+        assert got.decimal(12) == want.decimal(12), a
+
+
+def test_b_of_takes_no_squarefree_part_and_no_rational_root_test(monkeypatch):
+    calls = []
+    for name in ("_squarefree_part", "_rational_roots", "_poly_gcd"):
+        real = getattr(algebraic, name)
+        monkeypatch.setattr(algebraic, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    bases = [b_of(a) for a in _threshold_words(7)]
+    assert calls == []
+    assert sum(b.is_rational() for b in bases) == 16  # integer bases among them
+
+
+def test_b_of_divides_out_x_and_integer_roots_with_their_multiplicity():
+    # (x - 1)^2 (x^5 - x^2 - 1): a double root at the lower end of the grid
+    b = b_of(word("(1001111)"))
+    assert b.polynomial == poly_from_descending(1, -2, 1, -1, 2, -2, 2, -1)
+    assert b._sf == (-1, 0, -1, 0, 0, 1) and b.decimal(6) == "1.193859"
+    # an integer base keeps the squarefree part of its polynomial
+    two = b_of(word("(2)"))
+    assert two.exact == 2 and two.polynomial == poly_from_descending(1, -2) and two._sf == (-2, 1)
+    # x (x^2 - 5x + 3): the factor x
+    b = b_of(word("(420)"))
+    assert b.polynomial == poly_from_descending(1, -5, 3, 0)
+    assert b._sf == (3, -5, 1) and b.decimal(6) == "4.302776"
+
+
+def test_a_repeated_irrational_root_switches_the_walk_to_the_squarefree_part(monkeypatch):
+    golden = (-1, -1, 1)
+    poly = IntPolynomial(_mul((-2, 1), _mul(golden, golden)))  # (x - 2)(x^2 - x - 1)^2
+    calls = []
+    real = algebraic._squarefree_part
+    monkeypatch.setattr(algebraic, "_squarefree_part", lambda a: calls.append(a) or real(a))
+    iso = algebraic._Isolation(poly, Fraction(1), root_upper_bound(poly), monic_to=2)
+    assert iso.bounded_by(2) and iso.deflated == _mul(golden, golden)
+    # no certificate for the deflated part, so the integer root's squarefree
+    # part comes from the gcd
+    (two,) = iso.exact_roots()
+    assert two.exact == 2 and two._sf == _mul((-2, 1), golden) and calls == [poly.coefficients]
+    (root,) = itertools.islice(iso.irrational_roots(2), 1)
+    assert calls == [poly.coefficients, _mul(golden, golden)] and root._sf == golden
+    assert root.equals(largest_root_gt1(IntPolynomial(golden)))
+    lo, hi = iso.largest(2).interval
+    assert lo == hi == 2
+
+
+def test_the_perron_count_takes_the_squarefree_part_of_a_repeated_factor():
+    plastic = (-1, -1, 0, 1)
+    poly = IntPolynomial(_mul((-1, -1, 1), _mul(plastic, plastic)))  # golden ratio, plastic^2
+    iso = algebraic._Isolation(poly, Fraction(1), root_upper_bound(poly), monic_to=2)
+    root, want = iso.largest(2), largest_root_gt1(poly)
+    # the walk yields the golden ratio before it narrows on the double root
+    assert root._sf == poly.coefficients and want._sf == _mul((-1, -1, 1), plastic)
+    assert algebraic._conjugate_part(root) == algebraic._conjugate_part(want) == want._sf
+    assert classify_perron_pisot(root) == classify_perron_pisot(want) == PERRON_NOT_PISOT
 
 
 # integer polynomials of degree up to 10, some with rational or repeated factors

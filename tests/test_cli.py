@@ -168,13 +168,16 @@ def test_global_flags_accepted_before_subcommand():
 @pytest.mark.parametrize("text", [
     "0/0", "1/0", "abc", "", "1/2/3", "poly:1,x:1", "poly:-1,-1,1:z",
     "poly::1", "poly:1:2:3", "poly:0:1",
+    # a root index outside 1..#roots above 1: none, 0, and one past the last
+    "poly:1,1:1", "poly:-2,0,1:0", "poly:-2,0,1:2",
 ])
 def test_parse_beta_rejects_malformed_bases(text):
     with pytest.raises(MalformedBaseError):
         parse_beta(text, PrecisionConfig())
 
 
-@pytest.mark.parametrize("beta", ["0/0", "abc", "poly:-1,-1,1:z"])
+@pytest.mark.parametrize("beta", ["0/0", "abc", "poly:-1,-1,1:z",
+                                  "poly:1,1:1", "poly:-2,0,1:0", "poly:-2,0,1:2"])
 def test_malformed_base_exit_code(beta):
     code, _, err = invoke(["expansion", "--beta", beta])
     assert code == 2
