@@ -2,19 +2,20 @@
 attached to eventually periodic digit words.
 
 Root isolation is exact.  A rational is a point interval (r, r), with no
-separate exact value.  Rational roots are divided out before the walk, so
-no rational grid point is a root of the part it walks on: in general they
-are found by the rational root test and divided out of the squarefree part.
-The characteristic polynomial of a threshold word is monic, so ``b_of``
-divides out only x and the integer roots from 1 to the digit bound d + 1,
-each with its multiplicity, and takes no squarefree part.
+separate exact value.  Every polynomial is isolated by one rule:
+``_deflate`` takes its primitive part and divides out x^k and every rational
+root p/q (p | a_0, q | a_d) with its multiplicity; those roots stay exact,
+and the walk decides cells on the deflated part, of which no grid point is
+a root.  The deflated part is made squarefree only when asked:
+``isolate_real_roots`` and ``largest_root_gt1`` ask at once, ``b_of`` leaves
+it to the walk, which switches when a repeated root shows.
 The roots are isolated on the midpoint grid of the interval by Descartes'
 rule of signs (Collins-Akritas; Rouillier-Zimmermann): a cell mapped onto
 (0, 1) with no sign variation holds no root, one with one variation holds
 exactly one, counted with multiplicity, so a simple one, and any other cell
 is split.  The walk goes from the top, so the roots come greatest first,
-and the threshold base needs only the first.  ``b_of`` first certifies the
-digit bound by Descartes' rule and then skips the grid above it.
+and the threshold base needs only the first.  ``b_of`` skips the grid
+above the digit bound once Descartes' rule has certified that bound.
 
 ``refine`` lands on the cell of the bisection grid that bisection would
 reach: once Descartes' rule shows the interval holds exactly one root,
@@ -32,7 +33,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd as int_gcd
+from functools import lru_cache
+from math import gcd as int_gcd, isqrt
 
 from . import words
 from .errors import (InvariantError, MalformedBaseError, NegBetaError, SupNotFixedError,
@@ -55,15 +57,12 @@ def _deriv(a: Coeffs) -> Coeffs:
 
 
 def _content(a: Coeffs) -> int:
-    g = 0
-    for x in a:
-        g = int_gcd(g, abs(x))
-    return g or 1
+    return int_gcd(*a) or 1
 
 
 def _primitive(a: Coeffs) -> Coeffs:
     g = _content(a)
-    return tuple(x // g for x in a)
+    return tuple(a) if g == 1 else tuple(x // g for x in a)
 
 
 def _roots_not_integral(a: Coeffs) -> bool:
@@ -190,39 +189,66 @@ def _squarefree_part(a: Coeffs) -> Coeffs:
     return out if out[-1] > 0 else tuple(-c for c in out)
 
 
-def _div_root(a: Coeffs, t: int) -> tuple[Coeffs, int]:
-    """Quotient and remainder of a by x - t, by one Horner pass."""
+@lru_cache(maxsize=256)  # the same few small constant terms come back again and again
+def _divisors(n: int) -> tuple[int, ...]:
+    """The positive divisors of n > 0, ascending, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return tuple(sorted({*small, *(n // d for d in small)}))
+
+
+def _divides(m: int, n: int) -> bool:
+    """Does m divide n?  0 divides only 0."""
+    return n % m == 0 if m else not n
+
+
+def _div_linear(a: Coeffs, p: int, q: int) -> Coeffs | None:
+    """a / (q x - p) for coprime p and q > 0 when p/q is a root of a, else
+    None.  The root makes the quotient an integer polynomial (Gauss's lemma),
+    so the division from the top stays in integers exactly when it is exact."""
     out = [0] * (len(a) - 1)
     acc = 0
     for i in range(len(a) - 1, 0, -1):
-        acc = acc * t + a[i]
+        acc, r = divmod(a[i] + p * acc, q)
+        if r:
+            return None
         out[i - 1] = acc
-    return tuple(out), acc * t + a[0]
+    return tuple(out) if a[0] + p * acc == 0 else None
 
 
-def _times_root(a: Coeffs, t: int) -> Coeffs:
-    """(x - t) a."""
-    return tuple(u - t * v for u, v in zip((0, *a), (*a, 0)))
+def _deflate(a: Coeffs) -> tuple[Coeffs, list[Fraction]]:
+    """The primitive part of a != 0, with a positive lead, with x^k and every
+    rational root divided out with its multiplicity; and the distinct
+    rational roots, ascending.
 
-
-def _strip_integer_roots(a: Coeffs, top: int) -> tuple[Coeffs, list[int]]:
-    """A monic a with the factor x and every integer root in 1..top divided
-    out, with multiplicity; and the distinct roots divided out, ascending.
-
-    A rational root of a monic integer polynomial is an integer dividing
-    its constant term, so only those t are tried.
+    A root p/q in lowest terms of what is left after x^k has p | a_0 and
+    q | a_d (the rational root test), and a = (q x - p) b with b an integer
+    polynomial, so q - p divides a(1) and q + p divides a(-1): two integer
+    tests that rule out most candidates before a division is tried.
     """
-    k = next(i for i, c in enumerate(a) if c)
-    a, roots = a[k:], [0] if k else []
-    for t in range(1, top + 1):
-        while len(a) > 1 and a[0] % t == 0:
-            q, r = _div_root(a, t)
-            if r:
-                break
-            a = q
-            if roots[-1:] != [t]:
-                roots.append(t)
-    return a, roots
+    a = _primitive(a)
+    if a[-1] < 0:
+        a = tuple(-c for c in a)
+    k = 0
+    while not a[k]:
+        k += 1
+    a, roots = a[k:], [Fraction(0)] if k else []
+    at_one, at_minus_one = sum(a), sum(a[::2]) - sum(a[1::2])
+    leads = _divisors(a[-1])
+    for p in _divisors(abs(a[0])):
+        for q in leads:
+            if int_gcd(p, q) > 1:
+                continue
+            for s in (p, -p):
+                found = False
+                while len(a) > 1 and _divides(q - s, at_one) and _divides(q + s, at_minus_one):
+                    b = _div_linear(a, s, q)
+                    if b is None:
+                        break
+                    a, found = b, True
+                    at_one, at_minus_one = sum(a), sum(a[::2]) - sum(a[1::2])
+                if found:
+                    roots.append(Fraction(s, q))
+    return a, sorted(roots)
 
 
 def _exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -500,8 +526,9 @@ class AlgebraicNumber:
     polynomial: IntPolynomial
     interval: tuple[Fraction, Fraction]
     # a polynomial with the number as a simple root, the only one in the
-    # interval: the squarefree part unless given; b_of gives the
-    # characteristic polynomial with x and its integer roots divided out
+    # interval: the squarefree part unless given.  An isolation gives an
+    # irrational root the deflated part it walks on, and a rational root the
+    # squarefree part of the deflated part times q x - p per rational root p/q
     _sf: Coeffs = field(default=(), repr=False)
     # set once Descartes' rule has shown the interval holds one root of _sf
     _unique: bool = field(default=False, repr=False)
@@ -682,78 +709,35 @@ class AlgebraicNumber:
         return self.decimal(6)
 
 
-def _rational_roots(a: Coeffs) -> list[Fraction]:
-    """All rational roots, by the rational root test on the primitive part."""
-    a = _primitive(a)
-    k = 0
-    while a[k] == 0:
-        k += 1
-    a = a[k:]
-    roots = [Fraction(0)] if k else []
-    a0, an = abs(a[0]), abs(a[-1])
-
-    def divisors(n: int) -> list[int]:
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.extend((d, n // d))
-            d += 1
-        return sorted(set(out))
-
-    # p/q in lowest terms covers every candidate once; the sign test is exact
-    for p in divisors(a0):
-        for q in divisors(an):
-            if int_gcd(p, q) == 1:
-                roots.extend(Fraction(s, q) for s in (p, -p) if _sign_hom(a, s, q) == 0)
-    return sorted(roots)
-
-
 class _Isolation:
-    """Root isolation on (lo, hi]: the rational roots there, kept exact, and
-    a part of the polynomial with none of its rational roots, so no grid
-    point is a root of the part the walk decides cells on.
+    """Root isolation on (lo, hi]: ``_deflate`` divides every rational root
+    out of the polynomial, the ones in (lo, hi] stay exact, and the walk
+    decides cells on the deflated part, so no grid point is a root of it.
 
-    By default that part is the squarefree part with every rational root
-    divided out.  With ``monic_to = m`` the polynomial must be monic, so its
-    rational roots are integers: the factor x and the integer roots in 1..m
-    are divided out with multiplicity, with no squarefree part taken, and
-    the part keeps no rational root in (0, hi] when no root exceeds m.
+    The deflated part is not made squarefree up front.  The walk switches to
+    its squarefree part when a repeated root shows, or at once after
+    ``make_squarefree``.  An exact root's ``_sf`` is the squarefree part of
+    the deflated part times q x - p for each rational root p/q.
     """
 
-    def __init__(self, poly: IntPolynomial, lo: Fraction, hi: Fraction,
-                 monic_to: int | None = None):
+    def __init__(self, poly: IntPolynomial, lo: Fraction, hi: Fraction):
         self.poly, self.lo, self.hi = poly, lo, hi
-        if monic_to is None:
-            self.sf = sf = _squarefree_part(poly.coefficients)
-            all_rats = _rational_roots(sf) if len(sf) > 1 else []
-            deflated = sf
-            for r in all_rats:
-                deflated = _exact_div(deflated, (-r.numerator, r.denominator))
-            self.stripped = None
-        else:
-            self.sf = None  # built when a rational root needs it
-            deflated, self.stripped = _strip_integer_roots(poly.coefficients, monic_to)
-            all_rats = [Fraction(t) for t in self.stripped]
-        self.rats = [r for r in all_rats if lo < r <= hi]
-        self.deflated = deflated
-        self.squarefree = monic_to is None
+        self.deflated, self.roots = _deflate(poly.coefficients)
+        self.rats = [r for r in self.roots if lo < r <= hi]
+        self.squarefree = False
 
-    def _monic_squarefree_part(self) -> Coeffs:
-        """The squarefree part of the monic polynomial: the deflated part
-        times x - t once per root t divided out, when a modular certificate
-        (as in _squarefree_part) shows the deflated part squarefree."""
-        out = self.deflated
-        if not self.squarefree and len(out) > 1 and not _coprime_mod(out, _deriv(out)):
-            return _squarefree_part(self.poly.coefficients)
-        for t in self.stripped:
-            out = _times_root(out, t)
-        return out
+    def make_squarefree(self) -> None:
+        if not self.squarefree:
+            self.deflated, self.squarefree = _squarefree_part(self.deflated), True
 
     def exact_roots(self) -> list[AlgebraicNumber]:
-        if self.rats and self.sf is None:
-            self.sf = self._monic_squarefree_part()
-        return [AlgebraicNumber(self.poly, (r, r), _sf=self.sf) for r in self.rats]
+        if not self.rats:
+            return []
+        sf = self.deflated if self.squarefree else _squarefree_part(self.deflated)
+        for r in self.roots:
+            p, q = r.numerator, r.denominator
+            sf = tuple(q * u - p * v for u, v in zip((0, *sf), (*sf, 0)))
+        return [AlgebraicNumber(self.poly, (r, r), _sf=sf) for r in self.rats]
 
     def _clear_rationals(self, root: AlgebraicNumber) -> AlgebraicNumber:
         """Shrink the interval of an irrational root until it holds no exact
@@ -766,7 +750,8 @@ class _Isolation:
     def bounded_by(self, top: int) -> bool:
         """Is every real root at most the integer top?  Descartes' rule
         certifies it: the deflated part shifted by top has no sign variation,
-        so no root above top, and no rational root exceeds top."""
+        so no irrational root lies above top, and no rational root in
+        (lo, hi] exceeds top."""
         return (not self.rats or self.rats[-1] <= top) and \
             _variations(_taylor_shift(self.deflated, top)) == 0
 
@@ -802,7 +787,7 @@ class _Isolation:
             v = _unit_variations(p)
             if v > 1 and not self.squarefree and \
                     w * _COMPARE_WIDTH.denominator < _COMPARE_WIDTH.numerator * (den << k):
-                self.deflated, self.squarefree = _squarefree_part(self.deflated), True
+                self.make_squarefree()
                 n = len(self.deflated) - 1
                 stack = [(lv, ix, on_unit(lv, ix)) for lv, ix, _ in [*stack, (k, j, p)]]
                 continue
@@ -832,8 +817,12 @@ def _by_midpoint(root: AlgebraicNumber) -> Fraction:
 def isolate_real_roots(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> list[AlgebraicNumber]:
     """Disjoint isolating intervals for every real root in (lo, hi],
     in increasing order.  Rational roots come back exact, irrational roots
-    on the cells where the Descartes walk finds them."""
+    on the cells where the Descartes walk finds them, all on the squarefree
+    part."""
+    if poly.is_zero():
+        raise MalformedBaseError("the zero polynomial has no isolated roots")
     iso = _Isolation(poly, lo, hi)
+    iso.make_squarefree()
     return sorted(iso.exact_roots() + list(iso.irrational_roots()), key=_by_midpoint)
 
 
@@ -852,7 +841,9 @@ def largest_root_gt1(poly: IntPolynomial) -> AlgebraicNumber | None:
         raise MalformedBaseError("the zero polynomial has no largest root")
     if poly.degree < 1:
         return None
-    return _Isolation(poly, Fraction(1), root_upper_bound(poly)).largest()
+    iso = _Isolation(poly, Fraction(1), root_upper_bound(poly))
+    iso.make_squarefree()
+    return iso.largest()
 
 
 def b_of(w: EventuallyPeriodicWord) -> AlgebraicNumber:
@@ -860,13 +851,12 @@ def b_of(w: EventuallyPeriodicWord) -> AlgebraicNumber:
     or below the substitution fixed point u, otherwise the largest root above
     1 of the characteristic polynomial (which then always exists).
 
-    The polynomial is monic, so its only rational roots are integers, and
-    the base never exceeds top, the largest digit plus one.  The isolation
-    divides out x and the integer roots in 1..top and takes no squarefree
-    part.  When Descartes' rule certifies top as a bound on the roots, no
-    grid point left is a root and the walk skips the grid above top;
-    otherwise the integer roots up to the root bound are divided out too,
-    and the root found on the whole grid is compared with top.
+    One isolation on (1, C], C the Cauchy bound, as every polynomial gets:
+    every rational root divided out, the walk lazy about the squarefree
+    part.  The base never exceeds top, the largest digit plus one.  When
+    bounded_by certifies that on the polynomial, the walk skips the grid
+    above top; otherwise it walks the whole grid and the root is compared
+    with top.
     """
     if not words.is_sup_fixed(w):
         raise SupNotFixedError(f"{w} is not the sup of its shifts")
@@ -874,11 +864,8 @@ def b_of(w: EventuallyPeriodicWord) -> AlgebraicNumber:
         return AlgebraicNumber.from_rational(1)
     poly = char_polynomial(w)
     top = w.max_digit() + 1
-    bound = root_upper_bound(poly)
-    iso = _Isolation(poly, Fraction(1), bound, monic_to=top)
+    iso = _Isolation(poly, Fraction(1), root_upper_bound(poly))
     certified = iso.bounded_by(top)
-    if not certified:
-        iso = _Isolation(poly, Fraction(1), bound, monic_to=bound.numerator)
     root = iso.largest(top if certified else None)
     if root is None:
         raise InvariantError(f"no root above 1 for {w}")

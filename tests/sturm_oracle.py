@@ -5,22 +5,45 @@ the code it checks.  Sturm's theorem counts the distinct real roots in a
 half-open interval exactly, so bisecting (lo, hi] at midpoints until a piece
 counts one root isolates every irrational root on the same midpoint grid the
 Descartes walk uses; the walk may stop deeper on it.  Only the polynomial
-primitives of ``negbeta.algebraic`` are shared; the sign-preserving remainder
-that a Sturm chain needs lives here.
+primitives of ``negbeta.algebraic`` are shared; the rational root test and
+the sign-preserving remainder that a Sturm chain needs live here.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 from negbeta.algebraic import (
     AlgebraicNumber,
     _deriv,
     _exact_div,
     _primitive,
-    _rational_roots,
     _sign_at,
+    _sign_hom,
     _squarefree_part,
     _strip,
 )
+
+
+def _rational_roots(a):
+    """All distinct rational roots of a != 0, ascending, by the rational root
+    test on the primitive part: every p/q in lowest terms with p | a_0 and
+    q | a_d, after the factor x^k, is tried by an exact sign."""
+    a = _primitive(a)
+    k = 0
+    while a[k] == 0:
+        k += 1
+    a = a[k:]
+    roots = [Fraction(0)] if k else []
+
+    def divisors(n):
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return sorted({*small, *(n // d for d in small)})
+
+    for p in divisors(abs(a[0])):
+        for q in divisors(abs(a[-1])):
+            if gcd(p, q) == 1:
+                roots.extend(Fraction(s, q) for s in (p, -p) if _sign_hom(a, s, q) == 0)
+    return sorted(roots)
 
 
 def _rem_sign_preserving(f, g):

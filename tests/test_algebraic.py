@@ -266,15 +266,31 @@ def test_b_of_equals_the_squarefree_isolation_on_the_corpus_and_threshold_words(
         assert got.decimal(12) == want.decimal(12), a
 
 
-def test_b_of_takes_no_squarefree_part_and_no_rational_root_test(monkeypatch):
+def test_b_of_takes_no_gcd(monkeypatch):
     calls = []
-    for name in ("_squarefree_part", "_rational_roots", "_poly_gcd"):
+    for name in ("_squarefree_part", "_poly_gcd"):
         real = getattr(algebraic, name)
         monkeypatch.setattr(algebraic, name,
                             lambda *a, name=name, real=real: calls.append(name) or real(*a))
     bases = [b_of(a) for a in _threshold_words(7)]
-    assert calls == []
-    assert sum(b.is_rational() for b in bases) == 16  # integer bases among them
+    # only an integer base takes a squarefree part, of its deflated part, and
+    # the modular certificate shows each squarefree
+    assert sum(b.is_rational() for b in bases) == 16
+    assert calls == ["_squarefree_part"] * 16
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_b_of_builds_one_isolation(certified, monkeypatch):
+    built = []
+    real = algebraic._Isolation.__init__
+    monkeypatch.setattr(algebraic._Isolation, "__init__",
+                        lambda iso, *a, **kw: built.append(a) or real(iso, *a, **kw))
+    if not certified:
+        monkeypatch.setattr(algebraic._Isolation, "bounded_by", lambda iso, top: False)
+    threshold_words = [a for a in _threshold_words(5) if compare_with_u(a) > 0]
+    for a in threshold_words:
+        b_of(a)
+    assert len(built) == len(threshold_words) == 43
 
 
 def test_b_of_divides_out_x_and_integer_roots_with_their_multiplicity():
@@ -297,14 +313,14 @@ def test_a_repeated_irrational_root_switches_the_walk_to_the_squarefree_part(mon
     calls = []
     real = algebraic._squarefree_part
     monkeypatch.setattr(algebraic, "_squarefree_part", lambda a: calls.append(a) or real(a))
-    iso = algebraic._Isolation(poly, Fraction(1), root_upper_bound(poly), monic_to=2)
-    assert iso.bounded_by(2) and iso.deflated == _mul(golden, golden)
-    # no certificate for the deflated part, so the integer root's squarefree
-    # part comes from the gcd
+    iso = algebraic._Isolation(poly, Fraction(1), root_upper_bound(poly))
+    assert iso.bounded_by(2) and iso.deflated == _mul(golden, golden) and iso.roots == [2]
+    # the integer root's _sf: the squarefree part of the deflated part, times x - 2
     (two,) = iso.exact_roots()
-    assert two.exact == 2 and two._sf == _mul((-2, 1), golden) and calls == [poly.coefficients]
+    assert two.exact == 2 and two._sf == _mul((-2, 1), golden) and calls == [_mul(golden, golden)]
+    assert iso.deflated == _mul(golden, golden)  # the walk is still lazy
     (root,) = itertools.islice(iso.irrational_roots(2), 1)
-    assert calls == [poly.coefficients, _mul(golden, golden)] and root._sf == golden
+    assert calls == [_mul(golden, golden)] * 2 and root._sf == golden == iso.deflated
     assert root.equals(largest_root_gt1(IntPolynomial(golden)))
     lo, hi = iso.largest(2).interval
     assert lo == hi == 2
@@ -313,7 +329,7 @@ def test_a_repeated_irrational_root_switches_the_walk_to_the_squarefree_part(mon
 def test_the_perron_count_takes_the_squarefree_part_of_a_repeated_factor():
     plastic = (-1, -1, 0, 1)
     poly = IntPolynomial(_mul((-1, -1, 1), _mul(plastic, plastic)))  # golden ratio, plastic^2
-    iso = algebraic._Isolation(poly, Fraction(1), root_upper_bound(poly), monic_to=2)
+    iso = algebraic._Isolation(poly, Fraction(1), root_upper_bound(poly))
     root, want = iso.largest(2), largest_root_gt1(poly)
     # the walk yields the golden ratio before it narrows on the double root
     assert root._sf == poly.coefficients and want._sf == _mul((-1, -1, 1), plastic)
@@ -347,25 +363,58 @@ def test_largest_root_matches_the_full_isolation(coeffs):
     _same_root(got, want)
 
 
-@given(_polys, st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_isolate_real_roots_matches_the_sturm_isolation(coeffs, whole_line):
+# rational ends, among them roots of the factors in _FACTORS
+_ends = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(-3, 2)]),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 16)),
+)
+
+
+@given(_polys, st.sampled_from(["whole line", "above 1", "ends"]), _ends, _ends)
+@settings(max_examples=300, deadline=None)
+def test_isolate_real_roots_matches_the_sturm_isolation(coeffs, span, a, b):
+    # drawn ends put rational roots at the excluded lower end and the
+    # included upper end, and _polys repeats rational factors
     poly = IntPolynomial(coeffs)
     bound = root_upper_bound(poly)
-    lo = -bound if whole_line else Fraction(1)
-    got = isolate_real_roots(poly, lo, bound)
-    want = sturm_oracle.isolate_real_roots(poly, lo, bound)
+    lo, hi = {"whole line": (-bound, bound), "above 1": (Fraction(1), bound),
+              "ends": (min(a, b), max(a, b))}[span]
+    got = isolate_real_roots(poly, lo, hi)
+    want = sturm_oracle.isolate_real_roots(poly, lo, hi)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         _same_root(g, w, Fraction(1, 2**24))
         _same_root(g, w)
 
 
-# rational ends, among them roots of the factors in _FACTORS
-_ends = st.one_of(
-    st.sampled_from([Fraction(0), Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(-3, 2)]),
-    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 16)),
-)
+_linear = st.tuples(st.integers(-6, 6), st.integers(1, 5), st.integers(1, 3))  # (q x - p)^m
+
+
+def _multiplicity(a, r) -> int:
+    """How many of a, a', a'', ... vanish at r."""
+    m = 0
+    while a and _sign_at(a, r) == 0:
+        a, m = algebraic._deriv(a), m + 1
+    return m
+
+
+@given(_polys, st.lists(_linear, max_size=3))
+@example((1,), [(0, 1, 2), (2, 1, 3), (-3, 2, 1)])  # x^2 (x - 2)^3 (2x + 3)
+@settings(max_examples=200, deadline=None)
+def test_deflate_divides_out_every_rational_root_with_its_multiplicity(cofactor, linear):
+    coeffs = cofactor
+    for p, q, m in linear:
+        for _ in range(m):
+            coeffs = _mul(coeffs, (-p, q))
+    deflated, roots = algebraic._deflate(coeffs)
+    assert roots == sturm_oracle._rational_roots(coeffs)
+    assert sturm_oracle._rational_roots(deflated) == []
+    back = deflated
+    for r in roots:
+        for _ in range(_multiplicity(coeffs, r)):
+            back = _mul(back, (-r.numerator, r.denominator))
+    primitive = algebraic._primitive(coeffs)
+    assert back == (primitive if primitive[-1] > 0 else tuple(-c for c in primitive))
 
 
 @given(_polys, _ends, _ends)
@@ -544,6 +593,8 @@ def test_zero_polynomial_is_a_typed_error():
         root_upper_bound(IntPolynomial(()))
     with pytest.raises(MalformedBaseError):
         largest_root_gt1(IntPolynomial(()))
+    with pytest.raises(MalformedBaseError):
+        isolate_real_roots(IntPolynomial(()), Fraction(-1), Fraction(1))
 
 
 def test_floor_of_algebraic():

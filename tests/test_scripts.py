@@ -126,3 +126,14 @@ def test_inverse_rule_evidence_quick_run_finds_no_mismatch():
     header, *rows = proc.stdout.splitlines()
     assert header.split()[:6] == ["corpus", "kind", "words", "late", "mismatch", "failed"]
     assert [row.split()[:6] for row in rows] == [["7,3,3,4", "expansions", "1606", "25", "0", "0"]]
+
+
+def test_b_of_equivalence_quick_run_prints_one_line_per_word():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "b_of_equivalence.py"), "--quick"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(set(lines)) == 907
+    assert "(21)  x^2 - 3x + 1  [1, -3, 1]  1  4  175693285/67108864  21961661/8388608  " \
+        "2.618033988750" in lines
+    assert "(210)  x^3 - 3x^2 + 2x  [0, 2, -3, 1]  2  2  2  2  2.000000000000" in lines
