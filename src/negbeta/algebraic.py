@@ -20,7 +20,9 @@ above the digit bound once Descartes' rule has certified that bound.
 ``refine`` lands on the cell of the bisection grid that bisection would
 reach: once Descartes' rule shows the interval holds exactly one root,
 fixed-point Newton steps find the cell and the exact signs at its ends
-certify it; anything uncertified falls back to bisection.
+certify it; a landing that does not certify starts again from the finest
+coarser cell its estimate does certify, and only what stays uncertified
+falls back to bisection.
 
 The squarefree part skips the integer gcd whenever it can: a polynomial
 coprime to its derivative modulo the prime 2^30 - 35, which does not divide
@@ -332,39 +334,15 @@ def _bisect(sf: Coeffs, L: int, H: int, den: int, s_lo: int, levels: int) -> tup
     return L, H, den
 
 
-def _land(sf: Coeffs, L: int, H: int, den: int, s_lo: int, levels: int) -> tuple[int, int, int, int]:
-    """The cell that `levels` bisections of (L/den, H/den) reach, found
-    with Newton steps; returns (L', H', den', levels left to bisect).
-
-    The open interval must hold exactly one root of sf, with the sign s_lo at
-    its lower end and -s_lo at its upper end.  Bisection from it then passes
-    through exactly the grid cells that hold the root, so the cell of the
-    last level whose two ends have the exact signs s_lo and -s_lo is the one
-    bisection reaches.  After _LAND_FROM plain bisections, fixed-point Newton
-    steps in integers double the level each; the cell under the last
-    estimate (or a neighbour) is then certified by those two signs.  When it
-    does not certify, the cell of the plain bisections comes back with the
-    levels still to bisect.  A cell end where sf vanishes is the root itself,
-    returned as L' == H'.
-    """
-    L, H, den = _bisect(sf, L, H, den, s_lo, _LAND_FROM)
-    if L == H:
-        return L, H, den, 0
-    dsf = _deriv(sf)
-    w, s_hi = H - L, -s_lo
-    x, scale = 2 * L + w, 2 * den  # the estimate x / scale, first the cell's midpoint
-    done = _LAND_FROM
-    while done < levels:
-        done += min(done, levels - done)
-        finer = den << (done - _LAND_FROM)
-        x, scale = x * (finer // scale), finer
-        slope = _hom(dsf, x, scale)
-        if not slope:
-            return L, H, den, levels - _LAND_FROM
-        x -= _hom(sf, x, scale) // slope
-    # the cells of the last level are (base + i w, base + (i + 1) w) / scale
-    base = L << (levels - _LAND_FROM)
-    i = min(max((x - base) // w, 0), (1 << (levels - _LAND_FROM)) - 1)
+def _certify(sf: Coeffs, s_lo: int, L: int, w: int, scale: int, shift: int,
+             x: int) -> tuple[int, int] | None:
+    """The cell of level `shift` below (L/den, L/den + w/den), scale = den
+    2^shift, under the estimate x / scale or next to it, whose ends have the
+    exact signs s_lo and -s_lo, as numerators (lo, hi) over scale; (r, r) for
+    an end r where sf vanishes; None when none of the three certifies."""
+    # the cells of the level are (base + i w, base + (i + 1) w) / scale
+    base, s_hi = L << shift, -s_lo
+    i = min(max((x - base) // w, 0), (1 << shift) - 1)
 
     def sign(m):
         return _sign_hom(sf, base + m * w, scale)
@@ -377,11 +355,57 @@ def _land(sf: Coeffs, L: int, H: int, den: int, s_lo: int, levels: int) -> tuple
         if s1 == s_lo:  # the root lies above cell i
             i, s0, s1 = i + 1, s1, sign(i + 2)
     if s0 == 0 or s1 == 0:
-        x = base + (i if s0 == 0 else i + 1) * w
-        return x, x, scale, 0
+        r = base + (i if s0 == 0 else i + 1) * w
+        return r, r
     if (s0, s1) != (s_lo, s_hi):
-        return L, H, den, levels - _LAND_FROM
-    return base + i * w, base + (i + 1) * w, scale, 0
+        return None
+    return base + i * w, base + (i + 1) * w
+
+
+def _land(sf: Coeffs, L: int, H: int, den: int, s_lo: int, levels: int) -> tuple[int, int, int, int]:
+    """The cell that `levels` bisections of (L/den, H/den) reach, found
+    with Newton steps; returns (L', H', den', levels left to bisect).
+
+    The open interval must hold exactly one root of sf, with the sign s_lo at
+    its lower end and -s_lo at its upper end.  Bisection from it then passes
+    through exactly the grid cells that hold the root, so the cell of a level
+    whose two ends have the exact signs s_lo and -s_lo is the one bisection
+    reaches.  After _LAND_FROM plain bisections, fixed-point Newton steps in
+    integers double the level each; the cell under the last estimate (or a
+    neighbour) is then certified by those two signs.  Truncation and the
+    quadratic constant can leave the estimate more than a cell off when the
+    level is deep, or when the first steps start outside Newton's quadratic
+    range.  The estimate is still good for a coarser level, so it is tried
+    on the levels halfway between the last certified one and the target,
+    halving toward the certified one, and the landing starts again from the
+    first cell certified there.  When none certifies, the last certified
+    cell comes back with the levels still to bisect.  A cell end where sf
+    vanishes is the root itself, returned as L' == H'.
+    """
+    L, H, den = _bisect(sf, L, H, den, s_lo, _LAND_FROM)
+    dsf = _deriv(sf)
+    w, at = H - L, _LAND_FROM  # every cell is w / den wide; (L, H) is at level `at`
+    while L != H:
+        x, scale = 2 * L + w, 2 * den  # the estimate x / scale, first the cell's midpoint
+        done = at
+        while done < levels:
+            done += min(done, levels - done)
+            finer = den << (done - at)
+            x, scale = x * (finer // scale), finer
+            slope = _hom(dsf, x, scale)
+            if not slope:
+                return L, H, den, levels - at
+            x -= _hom(sf, x, scale) // slope
+        cell = _certify(sf, s_lo, L, w, scale, levels - at, x)
+        if cell is not None:
+            return *cell, scale, 0
+        top = levels
+        while cell is None and (top := (at + top) // 2) > at:
+            cell = _certify(sf, s_lo, L, w, den << (top - at), top - at, x >> (levels - top))
+        if cell is None:
+            return L, H, den, levels - at
+        (L, H), den, at = cell, den << (top - at), top
+    return L, H, den, 0
 
 
 # --- public polynomial wrapper ----------------------------------------------

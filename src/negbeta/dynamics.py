@@ -8,6 +8,12 @@ q x - p, so its points are rationals.  Floors and equalities of orbit points
 are certified by interval refinement combined with an exact vanishing test
 against the defining polynomial, so digit output never rests on floating
 point.
+
+Whether a word w is the expansion of 1 in its own base (``expansion_base``,
+which ``invert`` asks) needs no orbit: the values at b(w) of the evaluation
+polynomials of w's prefixes must lie strictly between 0 and 1, which one
+integer interval pass over them certifies, with the same exact vanishing
+test where an enclosure reaches 0 or 1.
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ from .algebraic import (
     _has_root,
     _over_common_denominator,
     _poly_gcd,
+    _prem,
     _roots_not_integral,
     _strip,
     as_rational,
     b_of,
+    p_polynomial,
 )
 from .errors import (
     InvariantError,
@@ -66,8 +74,9 @@ PERIOD_BUDGET = 600  # digits of the expansion of 1 a membership oracle searches
 COMPARE_CAP = 20000  # digits a membership oracle's tail comparison may read
 # Carried enclosures have P = _CARRY_BITS fractional bits, and keys come from
 # enclosures at most 2^-_KEY_BITS wide.  The carry waits for _CARRY_AFTER exact
-# steps: the walks of invert take at most 5 on the benchmark's query corpus,
-# whose wall time read 4% slower with the carry engaged from the first step.
+# steps: short walks gain nothing from it.  When invert still walked the orbit
+# (at most 5 steps on the benchmark's query corpus), that workload read 4%
+# slower with the carry engaged from the first step.
 _CARRY_BITS = 128
 _KEY_BITS = 50
 _CARRY_AFTER = 16
@@ -245,11 +254,7 @@ class _AlgebraicArith:
         lo, hi, _ = self._bounds(x, _TOL_64)
         if lo > 0 or hi < 0:
             return False
-        g = _poly_gcd(self.sf, _strip(list(nums)))
-        if len(g) <= 1:
-            return False
-        lo, hi = self.num.refine(_COMPARE_WIDTH)
-        return _has_root(g, lo, hi)
+        return _vanishes(self.num, _strip(list(nums)))
 
     def enclosure(self, x, tol: Fraction) -> tuple[Fraction, Fraction]:
         lo, hi, den = self._bounds(x, tol)
@@ -688,29 +693,84 @@ def expansion_base(w: EventuallyPeriodicWord,
                    precision: PrecisionConfig = DEFAULT_PRECISION) -> AlgebraicNumber | None:
     """b(w) when w is literally the expansion of 1 in its own base, else None.
 
-    Certified round trip: iterate the transformation at b(w) for preperiod
-    plus period steps, require every digit to match and the orbit to close up
-    exactly.  An irrational base comes back as refined by the walk.
+    Let d_1 d_2 ... be the digits of w, q and p its canonical preperiod and
+    period lengths, V_0 = 1 and V_k = (d_k + 1) - beta V_(k-1): the value at
+    beta of the evaluation polynomial P_k of the first k digits
+    (``p_polynomial``; P_0 = 1).  Then w is the expansion of 1 at beta = b(w)
+    exactly when 0 < V_k < 1 for k = 1, ..., q + p - 1.
+
+    Proof.  V_k lies in (0, 1] exactly when d_k <= beta V_(k-1) < d_k + 1,
+    that is when d_k = floor(beta V_(k-1)).  By induction on k, the first k
+    digits of the expansion of 1 are those of w, with T^j(1) = V_j for
+    j <= k, exactly when V_1, ..., V_k all lie in (0, 1].  Now
+    char_polynomial(w) is +-(P_(q+p) - P_q), so its root beta has V_(q+p) =
+    V_q, and since d_(k+p) = d_k for k > q, V_(k+p) = V_k for every k >= q.
+    So every V_k with k >= q + p repeats one of V_q, ..., V_(q+p-1), each
+    of which is one of V_1, ..., V_(q+p-1) or is V_0 = 1, and w is the
+    expansion of 1 exactly when V_1, ..., V_(q+p-1) lie in (0, 1].  None of
+    them is 1 then: T^k(1) = 1 with k < q + p would make the expansion of 1,
+    w, the word (d_1 ... d_k)^inf, whose canonical preperiod and period have
+    at most k digits together.
+
+    One integer interval Horner pass decides the condition from beta in
+    [L, H] / D, refined along precision's schedule from 2^-start_bits.  An
+    enclosure of V_k outside (0, 1) refutes w, one inside lets the pass go
+    on.  One that reaches 0 or 1 gets exact tests (``_vanishes``): V_k = 0
+    or V_k = 1 refutes w, and anything else is left to the next width; past
+    max_bits, UndecidableAtPrecisionError.  The base comes back refined to
+    the width that decided.
     """
     b = b_of(w)
     if b == 1:
         raise NegBetaError(f"{w} lies below the substitution fixed point; its base is 1")
-    beta = BetaValue.of(b)
-    arith = _arith_for(beta, precision)
-    q, p = w.preperiod_length, w.period_length
-    pts = [arith.one()]
-    for k, (d, nxt) in enumerate(itertools.islice(_walk(arith, pts[0]), q + p), start=1):
-        if d != w.digit(k):
-            return None
-        pts.append(nxt)
-    return b if arith.equal(pts[q + p], pts[q]) else None
+    digits = w.pre + w.per
+    for tol in precision.tolerances():
+        (L, H), D = _over_common_denominator(b.refine(tol))
+        verdict = _certificate(b, digits, L, H, D)
+        if verdict is not None:
+            return b if verdict else None
+    raise UndecidableAtPrecisionError(f"the expansion of 1 at the base of {w} is undecided "
+                                      "at max precision")
+
+
+def _certificate(b: AlgebraicNumber, digits, L: int, H: int, D: int) -> bool | None:
+    """Do V_1, ..., V_(len(digits) - 1) of expansion_base all lie in (0, 1)
+    at b, which lies in [L, H] / D with L > 0?  None when the enclosures
+    [lo, hi] / D^k of the V_k leave it open."""
+    lo = hi = E = 1
+    for k, d in enumerate(digits[:-1], start=1):
+        # V_(k-1) > 0, so beta V_(k-1) lies in [L lo, H hi] / (D E)
+        top = (d + 1) * D * E
+        lo, hi, E = top - H * hi, top - L * lo, D * E
+        if hi <= 0 or lo >= E:
+            return False
+        if lo > 0 and hi < E:
+            continue
+        poly = p_polynomial(digits[:k]).coefficients
+        if (lo <= 0 and _vanishes(b, poly)) or (hi >= E and _vanishes(b, (poly[0] - 1, *poly[1:]))):
+            return False
+        return None
+    return True
+
+
+def _vanishes(num: AlgebraicNumber, poly) -> bool:
+    """Is the integer polynomial poly zero at num?  Yes when num._sf divides
+    it; otherwise exactly when the gcd of num._sf and the remainder has a root
+    in num's interval refined to _COMPARE_WIDTH (``_has_root``)."""
+    rem = _prem(poly, num._sf)
+    if not rem:
+        return True
+    g = _poly_gcd(num._sf, rem)
+    return len(g) > 1 and _has_root(g, *num.refine(_COMPARE_WIDTH))
 
 
 def validate_expansion(w: EventuallyPeriodicWord,
                        precision: PrecisionConfig = DEFAULT_PRECISION) -> bool:
     """Is w literally the expansion of 1 in its own base b(w)?  The yes-or-no
-    form of ``expansion_base``, which isolates b(w) with ``b_of`` and returns
-    it; raises what that raises."""
+    form of ``expansion_base``, which isolates b(w) with ``b_of`` and decides
+    by its interval certificate; raises what that raises: what ``b_of``
+    raises, NegBetaError at base 1, and UndecidableAtPrecisionError past
+    precision's max_bits."""
     return expansion_base(w, precision) is not None
 
 

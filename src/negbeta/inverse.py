@@ -142,8 +142,9 @@ def construct_state(w: EventuallyPeriodicWord, check_expansion: bool = True,
     base then agrees at the level of the defining polynomial automatically.
     Otherwise ``ConstructionFailedError`` carries that permutation.
 
-    With check_expansion, ``dynamics.expansion_base`` decides w at the given
-    precision first and returns b(w).  The result carries the skeleton of its
+    With check_expansion, ``dynamics.expansion_base`` first decides w by its
+    interval certificate, refined along the given precision's schedule, and
+    returns b(w); no orbit is walked.  The result carries the skeleton of its
     round trip and that base (None without the check) as ``_round_trip``, so
     ``analysis.analyze`` of it isolates no root again."""
     b = None

@@ -1206,6 +1206,24 @@ def test_refine_lands_only_where_descartes_proves_one_root(monkeypatch):
     assert len(calls) == 1 and golden._unique
 
 
+@pytest.mark.parametrize("literal", ["21(0)", "211(210)", "(43000321131)", "6513(253042050)"])
+def test_a_deep_refinement_lands_without_bisecting_the_levels_left(monkeypatch, literal):
+    # at 2^-1000 the doubling Newton steps end more than a cell off, and the
+    # landing certifies through its retry from the level halfway down
+    b = b_of(word(literal))
+    interval, tol = b.interval, Fraction(1, 2**1000)
+    evaluations, certified = [], []
+    real_hom, real_certify = algebraic._hom, algebraic._certify
+    monkeypatch.setattr(algebraic, "_hom", lambda *a: evaluations.append(a) or real_hom(*a))
+    monkeypatch.setattr(algebraic, "_certify",
+                        lambda *a: certified.append(real_certify(*a)) or certified[-1])
+    got = b.refine(tol)
+    monkeypatch.undo()
+    assert len(evaluations) <= 64
+    assert [cell is None for cell in certified] == [True, False, False]
+    assert got == _refine_oracle(b._sf, interval, tol)
+
+
 @pytest.mark.parametrize("n,bits", [(5, 64), (5, 300), (5, 1024), (4, 4096)])
 def test_refine_of_threshold_bases_equals_plain_bisection(n, bits):
     for a in _threshold_words(n):

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from negbeta import analysis, dynamics
+from negbeta import analysis
 from negbeta.cli import _COMMANDS, parse_beta, run
 from negbeta.dynamics import DEFAULT_PRECISION, PrecisionConfig
 from negbeta.errors import MalformedBaseError, NegBetaError
@@ -233,18 +233,13 @@ def test_verify_passes_its_precision_to_every_membership_oracle(monkeypatch, cap
     assert seen == [PrecisionConfig(start_bits=128, max_bits=512)] * 3
 
 
-def test_invert_passes_its_precision_to_the_orbit_walk(monkeypatch, capsys):
+def test_invert_passes_its_precision_to_the_expansion_certificate(monkeypatch, capsys):
     seen = []
-    real = dynamics._arith_for
-
-    def recording(beta, precision):
-        seen.append(precision)
-        return real(beta, precision)
-
-    monkeypatch.setattr(dynamics, "_arith_for", recording)
+    real = PrecisionConfig.tolerances
+    monkeypatch.setattr(PrecisionConfig, "tolerances", lambda self: seen.append(self) or real(self))
     assert run(["invert", "21(0)", "--precision", "512", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["pi"] == "4321"
-    # one walk, the one that decides the word before the candidate search
+    # one certificate, the one that decides the word before the construction
     assert seen == [PrecisionConfig(start_bits=128, max_bits=512)]
 
 

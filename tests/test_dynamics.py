@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -12,6 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expansion_oracle
 import sturm_oracle
 from coeffs import _mul
 from negbeta import dynamics
@@ -51,7 +53,7 @@ from negbeta.errors import (
     SupNotFixedError,
     UndecidableAtPrecisionError,
 )
-from negbeta.words import sup_of_shifts, word
+from negbeta.words import parse_word, sup_of_shifts, word, words_over
 
 GOLDEN = poly_from_descending(1, -1, -1)
 FIG1_BASE = poly_from_descending(1, -3, 1)  # larger root is (3+sqrt 5)/2
@@ -244,6 +246,93 @@ def test_validate_expansion_rejects_low_words():
         validate_expansion(word("(12)"))
     with pytest.raises(NegBetaError, match="lies below the substitution fixed point; its base is 1"):
         validate_expansion(word("(100)"))
+
+
+def _invert_corpus():
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "data" / "invert_corpus.json"
+    return [parse_word(text) for texts in json.loads(path.read_text()).values() for text in texts]
+
+
+@pytest.mark.parametrize("corpus, expansions", [
+    ((4, 4, 5, 5), 822),   # criterion 7, with the words it leaves out
+    ((6, 3, 4, 5), 4254),
+    ("invert", 822),       # the benchmark's invert corpus
+])
+def test_the_expansion_certificate_equals_the_orbit_walk(corpus, expansions):
+    if corpus == "invert":
+        words = _invert_corpus()
+    else:
+        *over, max_len = corpus
+        words = [w for w in words_over(*over) if w.preperiod_length + w.period_length <= max_len]
+    found = 0
+    for w in words:
+        got, want = expansion_oracle.outcomes(w, dynamics.expansion_base,
+                                              expansion_oracle.walk_expansion_base)
+        assert got == want, str(w)
+        found += isinstance(got, tuple) and got[0]
+    assert found == expansions
+
+
+def _exact_tests(monkeypatch):
+    """The (polynomial, answer) of every exact test the certificate makes."""
+    tests, real = [], dynamics._vanishes
+    monkeypatch.setattr(dynamics, "_vanishes",
+                        lambda num, poly: tests.append((poly, real(num, poly))) or tests[-1][1])
+    return tests
+
+
+def test_an_exact_one_before_the_period_closes_refutes_the_word(monkeypatch):
+    # V_3 = 1 at the base of 101(1000): T^3(1) = 1 makes the expansion (101)
+    tests = _exact_tests(monkeypatch)
+    w = word("101(1000)")
+    assert dynamics.expansion_base(w) is None
+    assert tests == [((1, -1, 2, -1), True)]  # P_3 - 1 = -x^3 + 2x^2 - x + 1
+    assert expansion_oracle.walk_expansion_base(w) is None
+    assert expansion_digits(dynamics.b_of(w), 1, 4) == (1, 0, 1, 1)
+
+
+def test_an_exact_zero_refutes_the_word(monkeypatch):
+    # at the base of (200), beta^2 - 3 beta + 1 = 0, V_1 = 3 - beta and V_2 = 0
+    tests = _exact_tests(monkeypatch)
+    assert dynamics.expansion_base(word("(200)")) is None
+    assert tests == [((1, -3, 1), True)]  # P_2
+    assert expansion_oracle.walk_expansion_base(word("(200)")) is None
+
+
+@pytest.mark.parametrize("literal, base, expansion", [("(2)", 2, True), ("(3)", 3, True),
+                                                      ("(10)", 2, False), ("(210)", 2, False)])
+def test_an_integer_base_is_decided_by_its_point_enclosures(monkeypatch, literal, base, expansion):
+    tests = _exact_tests(monkeypatch)
+    got = dynamics.expansion_base(word(literal))
+    assert (got is not None) == expansion and tests == []
+    assert dynamics.b_of(word(literal)).exact == base
+
+
+def test_an_enclosure_outside_the_unit_interval_refutes_without_an_exact_test(monkeypatch):
+    tests = _exact_tests(monkeypatch)
+    golden = largest_root_gt1(GOLDEN)
+    (L, H), D = _over_common_denominator(golden.refine(Fraction(1, 2**128)))
+    # V_1 = 3 - beta > 1; V_1 = 1 - beta < 0; then the expansion of 1, 1(0)
+    assert dynamics._certificate(golden, (2, 0), L, H, D) is False
+    assert dynamics._certificate(golden, (0, 0), L, H, D) is False
+    assert dynamics._certificate(golden, (1, 0, 0, 0), L, H, D) is True
+    assert tests == []
+
+
+def test_an_undecided_certificate_refines_along_the_schedule(monkeypatch):
+    widths, real = [], dynamics._certificate
+
+    def first_undecided(b, digits, L, H, D):
+        widths.append(b.interval[1] - b.interval[0])
+        return None if len(widths) == 1 else real(b, digits, L, H, D)
+
+    monkeypatch.setattr(dynamics, "_certificate", first_undecided)
+    precision = dynamics.PrecisionConfig(start_bits=32, max_bits=128)
+    assert dynamics.expansion_base(word("21(0)"), precision) is not None
+    assert Fraction(1, 2**64) < widths[0] <= Fraction(1, 2**32) and widths[1] <= Fraction(1, 2**64)
+    monkeypatch.setattr(dynamics, "_certificate", lambda *args: None)
+    with pytest.raises(UndecidableAtPrecisionError):
+        dynamics.expansion_base(word("21(0)"), precision)
 
 
 # --- classical identities ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import weakref
@@ -115,6 +116,19 @@ def _validate_then_construct(w):
     if not validate_expansion(w):
         raise NegBetaError(f"{w} is not the expansion of 1 in its own base")
     return construct_state(w, check_expansion=False)
+
+
+def test_construct_state_builds_no_orbit_arithmetic(monkeypatch):
+    # the expansion certificate decides every word without the orbit walk
+    built, real = [], dynamics._arith_for
+    monkeypatch.setattr(dynamics, "_arith_for", lambda *a: built.append(a) or real(*a))
+    expansions = 0
+    for w in words_over(4, 4, 5):
+        if w.preperiod_length + w.period_length <= 5:
+            with contextlib.suppress(NegBetaError):
+                construct_state(w)
+                expansions += 1
+    assert expansions == 822 and built == []
 
 
 def test_construct_state_keeps_the_outcome_of_validating_first():

@@ -137,3 +137,12 @@ def test_b_of_equivalence_quick_run_prints_one_line_per_word():
     assert "(21)  x^2 - 3x + 1  [1, -3, 1]  1  4  175693285/67108864  21961661/8388608  " \
         "2.618033988750" in lines
     assert "(210)  x^3 - 3x^2 + 2x  [0, 2, -3, 1]  2  2  2  2  2.000000000000" in lines
+
+
+def test_expansion_certificate_evidence_quick_run_finds_no_mismatch():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "expansion_certificate_evidence.py"),
+                           "--quick"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["corpus", "expansions", "others", "exact", "wider", "mismatch", "s"]
+    assert [row.split()[:6] for row in rows] == [["4,3,3,4", "151", "12", "3", "0", "0"]]
